@@ -157,16 +157,15 @@ func writeReport(w, errW io.Writer, cfg reportConfig) error {
 
 	if cfg.progress {
 		tiers := exp.CacheTiers()
-		pHits, pMisses := session.Stats()
+		pass := session.Stats()
 		fmt.Fprintf(errW, "pass cache: %d hits, %d misses; trace cache: %d hits, %d misses (%.1f MB resident); annotated cache: %d hits, %d misses (%.1f MB resident); bucket cache: %d hits, %d misses; model cache: %d hits, %d misses; curve cache: %d hits, %d misses; artifact disk: %d hits, %d misses\n",
-			pHits, pMisses, tiers[0].Stats.Hits, tiers[0].Stats.Misses, float64(tiers[0].Stats.ResidentBytes)/(1<<20),
+			pass.Hits, pass.Misses, tiers[0].Stats.Hits, tiers[0].Stats.Misses, float64(tiers[0].Stats.ResidentBytes)/(1<<20),
 			tiers[1].Stats.Hits, tiers[1].Stats.Misses, float64(tiers[1].Stats.ResidentBytes)/(1<<20),
 			tiers[2].Stats.Hits, tiers[2].Stats.Misses, tiers[3].Stats.Hits, tiers[3].Stats.Misses,
 			tiers[4].Stats.Hits, tiers[4].Stats.Misses, tiers[5].Stats.Hits, tiers[5].Stats.Misses)
 	}
 	if cfg.cacheStats {
-		pHits, pMisses := session.Stats()
-		printCacheStats(errW, "session-pass", artifact.TierStats{Hits: pHits, Misses: pMisses})
+		printCacheStats(errW, "session-pass", session.Stats())
 		for _, tier := range exp.CacheTiers() {
 			printCacheStats(errW, tier.Name, tier.Stats)
 		}
@@ -179,8 +178,7 @@ func writeReport(w, errW io.Writer, cfg reportConfig) error {
 		}
 	}
 	if cfg.cacheStatsJSON {
-		pHits, pMisses := session.Stats()
-		if err := serve.WriteCacheStatsJSON(errW, serve.SnapshotCacheStats(pHits, pMisses, true)); err != nil {
+		if err := serve.WriteCacheStatsJSON(errW, serve.SnapshotCacheStats(session.Stats(), true)); err != nil {
 			return err
 		}
 	}
@@ -188,10 +186,11 @@ func writeReport(w, errW io.Writer, cfg reportConfig) error {
 }
 
 // printCacheStats renders one cache tier's counters for the -cache-stats
-// flag: the uniform hit/miss/eviction/resident quad plus the health columns
+// flag: the uniform hit/miss/eviction/resident quad, the health columns
 // (verify failures, operation errors, the degraded flag), which only the
-// checksummed disk tier can move.
+// checksummed disk tier can move, and last the claims coalesced onto an
+// in-flight build, which only single-flight in-memory tiers move.
 func printCacheStats(errW io.Writer, name string, s artifact.TierStats) {
-	fmt.Fprintf(errW, "cache-stats %-16s hits=%d misses=%d evictions=%d resident_bytes=%d verify_fails=%d op_errors=%d degraded=%t\n",
-		name, s.Hits, s.Misses, s.Evictions, s.ResidentBytes, s.VerifyFails, s.OpErrors, s.Degraded)
+	fmt.Fprintf(errW, "cache-stats %-16s hits=%d misses=%d evictions=%d resident_bytes=%d verify_fails=%d op_errors=%d degraded=%t coalesced=%d\n",
+		name, s.Hits, s.Misses, s.Evictions, s.ResidentBytes, s.VerifyFails, s.OpErrors, s.Degraded, s.Coalesced)
 }

@@ -87,7 +87,11 @@ const (
 // flag — which stay zero for in-memory tiers: they have no payload
 // integrity to check and no disk to fail.
 type TierStats struct {
-	Hits, Misses  uint64
+	Hits, Misses uint64
+	// Coalesced counts claims that waited on another claimant's in-flight
+	// build: shared work, but not served from a finished entry, so not a
+	// hit. Only single-flight in-memory tiers move it.
+	Coalesced     uint64
 	Evictions     uint64
 	ResidentBytes uint64
 	VerifyFails   uint64

@@ -31,7 +31,7 @@ func init() {
 				return nil, err
 			}
 			for i, scheme := range schemes {
-				c := s.Pooled(rs[i].Stats()).Curve()
+				c := s.Pooled(rs[i].Tallies()).Curve()
 				o.Series = append(o.Series, analysis.Series{Label: scheme.String(), Curve: c})
 				o.Scalars[scheme.String()+"@20%"] = c.MispredsAt(20)
 			}
@@ -59,7 +59,7 @@ func init() {
 				return nil, err
 			}
 			for i, width := range widths {
-				c := s.Pooled(rs[i].Stats()).Curve()
+				c := s.Pooled(rs[i].Tallies()).Curve()
 				label := fmt.Sprintf("cir%d", width)
 				o.Series = append(o.Series, analysis.Series{Label: label, Curve: c})
 				o.Scalars[label+"@20%"] = c.MispredsAt(20)
@@ -85,7 +85,7 @@ func init() {
 				return nil, err
 			}
 			for i, s2 := range variants {
-				c := s.Pooled(rs[i].Stats()).Curve()
+				c := s.Pooled(rs[i].Tallies()).Curve()
 				o.Series = append(o.Series, analysis.Series{Label: s2.String(), Curve: c})
 				o.Scalars[s2.String()+"@20%"] = c.MispredsAt(20)
 			}
@@ -113,7 +113,7 @@ func init() {
 				return nil, err
 			}
 			for i, max := range maxes {
-				c := s.Pooled(rs[i].Stats()).Curve()
+				c := s.Pooled(rs[i].Tallies()).Curve()
 				label := fmt.Sprintf("max%d", max)
 				o.Series = append(o.Series, analysis.Series{Label: label, Curve: c})
 				o.Scalars[label+"@20%"] = c.MispredsAt(20)

@@ -2,6 +2,7 @@ package exp
 
 import (
 	"context"
+	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
@@ -24,6 +25,13 @@ import (
 // curve share one build, and any change to engine output self-invalidates
 // every dependent curve.
 //
+// The content hash is built from per-run digests (analysis.HashRun). Runs
+// read from a resident suite pass carry digests the pass computed once
+// (Pass.Tallies, Pass.Pick), so keying a curve over them hashes a few
+// dozen bytes and never walks a tally map; run sets derived per request
+// (DerivedRuns) hash their tallies once per CurveSet. Either way the key
+// follows the tally content, never the identity of the maps holding it.
+//
 // Warm runs served from this tier skip BuildCurve and the composite build
 // entirely: CurveSet defers CompositePooled/CompositeDistinct/Single until
 // something actually needs the weighted composite, which on a full curve
@@ -36,7 +44,7 @@ import (
 // budget unless SetCurveCacheBound overrides it.
 var curveCache memo.ByteLRU
 
-var curveHits, curveMisses atomic.Uint64
+var curveCounts memo.Counters
 
 // curveBoundOverridden records an explicit SetCurveCacheBound call, after
 // which SetCurveCacheDefaultBound no longer tracks the annotated bound.
@@ -60,16 +68,28 @@ func SetCurveCacheDefaultBound(bytes uint64) {
 
 // CurveCacheReport returns the curve cache's observability quad.
 func CurveCacheReport() artifact.TierStats {
-	r, e := curveCache.Usage()
-	return artifact.TierStats{Hits: curveHits.Load(), Misses: curveMisses.Load(), Evictions: e, ResidentBytes: r}
+	return curveCounts.Report(&curveCache)
 }
 
 // ResetCurveCache drops every cached curve and zeroes the counters. The
 // bound (and whether it was overridden) is retained.
 func ResetCurveCache() {
 	curveCache.Reset()
-	curveHits.Store(0)
-	curveMisses.Store(0)
+	curveCounts.Reset()
+}
+
+// RunSet is the per-run tallies a CurveSet composites, plus where their
+// digests come from: a resident pass's stored digests, or — when digests
+// is nil — the tallies themselves, hashed when the set is first keyed.
+type RunSet struct {
+	stats   []analysis.BucketStats
+	digests func() [][sha256.Size]byte // parallel to stats
+}
+
+// DerivedRuns wraps tallies built per request — a fresh walk, a re-seeded
+// replica, a mix — that no resident pass holds digests for.
+func DerivedRuns(stats ...analysis.BucketStats) RunSet {
+	return RunSet{stats: stats}
 }
 
 // CurveSet is one composite's worth of curves: a set of per-run tallies
@@ -82,7 +102,7 @@ func ResetCurveCache() {
 type CurveSet struct {
 	s    *Session
 	mode string // "pooled" | "distinct" | "single"
-	runs []analysis.BucketStats
+	runs RunSet
 
 	hashOnce sync.Once
 	hash     string
@@ -93,20 +113,23 @@ type CurveSet struct {
 
 // Pooled returns the curve set over the equal-weight pooled composite of
 // runs (analysis.CompositePooled).
-func (s *Session) Pooled(runs []analysis.BucketStats) *CurveSet {
+func (s *Session) Pooled(runs RunSet) *CurveSet {
 	return &CurveSet{s: s, mode: "pooled", runs: runs}
 }
 
 // Distinct returns the curve set over the equal-weight run-distinct
 // composite of runs (analysis.CompositeDistinct).
-func (s *Session) Distinct(runs []analysis.BucketStats) *CurveSet {
+func (s *Session) Distinct(runs RunSet) *CurveSet {
 	return &CurveSet{s: s, mode: "distinct", runs: runs}
 }
 
 // SingleRun returns the curve set over one unweighted run
-// (analysis.Single).
-func (s *Session) SingleRun(bs analysis.BucketStats) *CurveSet {
-	return &CurveSet{s: s, mode: "single", runs: []analysis.BucketStats{bs}}
+// (analysis.Single); run must hold exactly one run.
+func (s *Session) SingleRun(run RunSet) *CurveSet {
+	if len(run.stats) != 1 {
+		panic(fmt.Sprintf("exp: SingleRun over %d runs", len(run.stats)))
+	}
+	return &CurveSet{s: s, mode: "single", runs: run}
 }
 
 // Stats returns the set's weighted composite, building it on first use.
@@ -116,20 +139,29 @@ func (c *CurveSet) Stats() analysis.WeightedStats {
 	c.wsOnce.Do(func() {
 		switch c.mode {
 		case "pooled":
-			c.ws = analysis.CompositePooled(c.runs)
+			c.ws = analysis.CompositePooled(c.runs.stats)
 		case "distinct":
-			c.ws = analysis.CompositeDistinct(c.runs)
+			c.ws = analysis.CompositeDistinct(c.runs.stats)
 		default:
-			c.ws = analysis.Single(c.runs[0])
+			c.ws = analysis.Single(c.runs.stats[0])
 		}
 	})
 	return c.ws
 }
 
-// contentHash returns the set's tally content hash, computed at most once.
+// contentHash returns the set's tally content hash, computed at most once:
+// combined from stored per-run digests when the runs came from a resident
+// pass, hashed from the tallies otherwise.
 func (c *CurveSet) contentHash() string {
 	c.hashOnce.Do(func() {
-		h := analysis.HashRuns(c.runs)
+		var h [sha256.Size]byte
+		if c.runs.digests != nil {
+			h = analysis.CombineRunDigests(c.runs.digests())
+		} else {
+			pprof.Do(context.Background(), pprof.Labels("stage", "curve-key"), func(context.Context) {
+				h = analysis.HashRuns(c.runs.stats)
+			})
+		}
 		c.hash = hex.EncodeToString(h[:])
 	})
 	return c.hash
@@ -168,14 +200,13 @@ func (c *CurveSet) curve(desc string, fn func(uint64) uint64) analysis.Curve {
 		return c.build(fn)
 	}
 	key := curveArtifactKey(c.contentHash(), c.mode, desc)
-	e, owner := curveCache.Claim(key)
-	if !owner {
-		curveHits.Add(1)
+	e, o := curveCache.Claim(key)
+	curveCounts.Count(o)
+	if o != memo.Miss {
 		<-e.Done
 		cv, _ := e.Val.(analysis.Curve)
 		return cv
 	}
-	curveMisses.Add(1)
 	cv, fromDisk := curveFromDisk(key)
 	if !fromDisk {
 		cv = c.build(fn)
@@ -186,10 +217,16 @@ func (c *CurveSet) curve(desc string, fn func(uint64) uint64) analysis.Curve {
 	return cv
 }
 
+// curveKeyScheme tags how the tally content hash in a curve key is
+// derived: "rd" is analysis.HashRuns over per-run digests. Records keyed
+// under an earlier scheme miss and are rebuilt once, never mixed in.
+const curveKeyScheme = "rd"
+
 // curveArtifactKey is the canonical store key for one curve: codec
-// version, tally content hash, composite mode, and reduction descriptor.
+// version, key scheme, tally content hash, composite mode, and reduction
+// descriptor.
 func curveArtifactKey(hash, mode, desc string) string {
-	return fmt.Sprintf("curve|v%d|%s|mode=%s|merge=%s", artifact.FormatVersion, hash, mode, desc)
+	return fmt.Sprintf("curve|v%d|%s|%s|mode=%s|merge=%s", artifact.FormatVersion, curveKeyScheme, hash, mode, desc)
 }
 
 // curvePointWire is the wire size of one curve point: seven 64-bit words

@@ -1,8 +1,13 @@
 package exp
 
 import (
-	"sync/atomic"
+	"context"
+	"crypto/sha256"
+	"runtime/pprof"
+	"sync"
 
+	"branchconf/internal/analysis"
+	"branchconf/internal/artifact"
 	"branchconf/internal/core"
 	"branchconf/internal/memo"
 	"branchconf/internal/predictor"
@@ -75,8 +80,7 @@ type Session struct {
 	cfg Config
 
 	passes memo.ByteLRU
-
-	hits, misses atomic.Uint64
+	counts memo.Counters
 }
 
 // NewSession returns an empty session for the given configuration.
@@ -146,7 +150,65 @@ func (s *Session) runSuite(pred PredSpec, newMechs []func() core.Mechanism) ([]s
 	return sim.RunSuiteAnnotated(s.suiteConfig(), pred.Key, pred.New, newMechs)
 }
 
-// Suite returns one whole-suite result per mechanism, all simulated under
+// Pass is one (predictor, mechanism) suite pass as the session holds it:
+// the engine's per-benchmark results plus the per-run tally digests the
+// curve tier keys on. The digests belong to the resident pass — computed
+// at most once while it stays cached and evicted with it — so a request
+// that re-reads a resident pass never re-hashes its tallies.
+type Pass struct {
+	sim.SuiteResult
+	rp *residentPass
+}
+
+// residentPass is a pass-cache entry's value.
+type residentPass struct {
+	res     sim.SuiteResult
+	once    sync.Once
+	digests [][sha256.Size]byte
+}
+
+// runDigests returns the pass's per-run analysis.HashRun digests in suite
+// order, computing them on first use. Hashing is deferred rather than done
+// by the pass's owner because many passes (miss rates, model inputs) never
+// reach the curve tier.
+func (rp *residentPass) runDigests() [][sha256.Size]byte {
+	rp.once.Do(func() {
+		pprof.Do(context.Background(), pprof.Labels("stage", "curve-key"), func(context.Context) {
+			ds := make([][sha256.Size]byte, len(rp.res.Runs))
+			for i, r := range rp.res.Runs {
+				ds[i] = analysis.HashRun(r.Buckets)
+			}
+			rp.digests = ds
+		})
+	})
+	return rp.digests
+}
+
+// Tallies returns every run's tallies in suite order, keyed by the pass's
+// stored digests.
+func (p Pass) Tallies() RunSet {
+	return RunSet{stats: p.Stats(), digests: p.rp.runDigests}
+}
+
+// Pick returns the tallies of the runs at the given suite indices, in that
+// order, keyed by the pass's stored digests.
+func (p Pass) Pick(idx ...int) RunSet {
+	stats := make([]analysis.BucketStats, len(idx))
+	for k, i := range idx {
+		stats[k] = p.Runs[i].Buckets
+	}
+	rp := p.rp
+	return RunSet{stats: stats, digests: func() [][sha256.Size]byte {
+		all := rp.runDigests()
+		ds := make([][sha256.Size]byte, len(idx))
+		for k, i := range idx {
+			ds[k] = all[i]
+		}
+		return ds
+	}}
+}
+
+// Suite returns one whole-suite pass per mechanism, all simulated under
 // pred, batching every mechanism not already cached into a single
 // predictor pass per benchmark. Results are index-aligned with mechs and
 // identical to per-mechanism sim.RunSuite calls.
@@ -158,16 +220,14 @@ func (s *Session) runSuite(pred PredSpec, newMechs []func() core.Mechanism) ([]s
 // fails is published as an error to everyone already waiting on it but is
 // dropped from the cache, so the next claimant retries instead of
 // inheriting a possibly transient failure for the life of the process.
-func (s *Session) Suite(pred PredSpec, mechs ...MechSpec) ([]sim.SuiteResult, error) {
+func (s *Session) Suite(pred PredSpec, mechs ...MechSpec) ([]Pass, error) {
 	entries := make([]*memo.Entry, len(mechs))
 	var missing []int // indices whose entries this call must fill
 	for i, m := range mechs {
-		e, owner := s.passes.Claim(passKey(pred.Key + "\x1f" + m.Key))
-		if owner {
+		e, o := s.passes.Claim(passKey(pred.Key + "\x1f" + m.Key))
+		s.counts.Count(o)
+		if o == memo.Miss {
 			missing = append(missing, i)
-			s.misses.Add(1)
-		} else {
-			s.hits.Add(1)
 		}
 		entries[i] = e
 	}
@@ -185,28 +245,29 @@ func (s *Session) Suite(pred PredSpec, mechs ...MechSpec) ([]sim.SuiteResult, er
 				s.passes.Finish(e, 0)
 				continue
 			}
-			e.Val = res[j]
+			e.Val = &residentPass{res: res[j]}
 			s.passes.Finish(e, passBytes(res[j]))
 		}
 	}
 
-	out := make([]sim.SuiteResult, len(mechs))
+	out := make([]Pass, len(mechs))
 	for i, e := range entries {
 		<-e.Done
 		if e.Err != nil {
 			return nil, e.Err
 		}
-		out[i] = e.Val.(sim.SuiteResult)
+		rp := e.Val.(*residentPass)
+		out[i] = Pass{SuiteResult: rp.res, rp: rp}
 	}
 	return out, nil
 }
 
 // passBytes approximates a cached pass's resident footprint for the LRU
-// bound: the per-benchmark run headers plus each bucket tally (map slot,
-// key, and tally block).
+// bound: the per-benchmark run headers (with their tally digests) plus
+// each bucket tally (map slot, key, and tally block).
 func passBytes(res sim.SuiteResult) uint64 {
-	const runHeader = 64  // Result struct + slice slot + name
-	const bucketCost = 48 // map bucket share + uint64 key + *Tally + Tally
+	const runHeader = 64 + sha256.Size // Result struct + slice slot + name + digest
+	const bucketCost = 48              // map bucket share + uint64 key + *Tally + Tally
 	b := uint64(32)
 	for _, r := range res.Runs {
 		b += runHeader + uint64(len(r.Buckets))*bucketCost
@@ -225,17 +286,20 @@ func (s *Session) SetPassBound(bytes uint64) { s.passes.SetBound(bytes) }
 func (s *Session) PassUsage() (resident, evictions uint64) { return s.passes.Usage() }
 
 // SuiteOne is Suite for a single mechanism.
-func (s *Session) SuiteOne(pred PredSpec, mech MechSpec) (sim.SuiteResult, error) {
+func (s *Session) SuiteOne(pred PredSpec, mech MechSpec) (Pass, error) {
 	rs, err := s.Suite(pred, mech)
 	if err != nil {
-		return sim.SuiteResult{}, err
+		return Pass{}, err
 	}
 	return rs[0], nil
 }
 
-// Stats reports the session's pass-cache hits and misses so far.
-func (s *Session) Stats() (hits, misses uint64) {
-	return s.hits.Load(), s.misses.Load()
+// Stats reports the session's pass-cache claims so far: hits, misses, and
+// claims coalesced onto an in-flight pass. Evictions and resident bytes
+// are reported separately (PassUsage).
+func (s *Session) Stats() artifact.TierStats {
+	h, m, co := s.counts.Load()
+	return artifact.TierStats{Hits: h, Misses: m, Coalesced: co}
 }
 
 // Shared predictor and mechanism specs for the paper's two standard

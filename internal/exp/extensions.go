@@ -120,10 +120,8 @@ func registerExtensions() {
 			if err != nil {
 				return nil, err
 			}
-			strengthRuns := srs[0].Stats()
-			resetSR := srs[1]
-			strength := s.Pooled(strengthRuns).Curve()
-			reset := s.Pooled(resetSR.Stats()).Curve()
+			strength := s.Pooled(srs[0].Tallies()).Curve()
+			reset := s.Pooled(srs[1].Tallies()).Curve()
 			// The strength method has one natural operating point: its
 			// weak-state set. Compare both methods at that set size.
 			weakPct := strength[0].CumEventsPct
@@ -175,15 +173,15 @@ func registerExtensions() {
 			if err != nil {
 				return nil, err
 			}
-			var soloRuns []analysis.BucketStats
+			var soloIdx []int
 			for _, name := range mixNames {
-				res, err := oneSR.ByName(name)
+				i, err := oneSR.Index(name)
 				if err != nil {
 					return nil, err
 				}
-				soloRuns = append(soloRuns, res.Buckets)
+				soloIdx = append(soloIdx, i)
 			}
-			solo := s.Pooled(soloRuns).Curve()
+			solo := s.Pooled(oneSR.Pick(soloIdx...)).Curve()
 			o.Series = append(o.Series, analysis.Series{Label: "solo", Curve: solo})
 			o.Scalars["solo@20%"] = solo.MispredsAt(20)
 			for _, quantum := range []uint64{100_000, 10_000, 1_000} {
@@ -195,7 +193,7 @@ func registerExtensions() {
 				if err != nil {
 					return nil, err
 				}
-				c := s.SingleRun(res.Buckets).Curve()
+				c := s.SingleRun(DerivedRuns(res.Buckets)).Curve()
 				label := fmt.Sprintf("mix-q%d", quantum)
 				o.Series = append(o.Series, analysis.Series{Label: label, Curve: c})
 				o.Scalars[label+"@20%"] = c.MispredsAt(20)
@@ -217,7 +215,7 @@ func registerExtensions() {
 			b.WriteString("replica  gshare64K-miss%  BHRxorPC@20%  Reset@20%\n")
 			var missMin, missMax, idealMin, idealMax, resetMin, resetMax float64
 			for rep := 0; rep < replicas; rep++ {
-				var idealRuns, resetRuns []analysis.BucketStats
+				var idealRuns, resetRuns RunSet
 				var missSum float64
 				var nspecs int
 				if rep == 0 {
@@ -230,8 +228,8 @@ func registerExtensions() {
 					for _, run := range rs[0].Runs {
 						missSum += run.MissRate()
 					}
-					idealRuns = rs[0].Stats()
-					resetRuns = rs[1].Stats()
+					idealRuns = rs[0].Tallies()
+					resetRuns = rs[1].Tallies()
 					nspecs = len(rs[0].Runs)
 				} else {
 					// Mutated-seed replicas stream once each, training both
@@ -241,6 +239,7 @@ func registerExtensions() {
 					for i := range specs {
 						specs[i].Seed += uint64(rep) * 0x9E37 // distinct structural+walk seeds
 					}
+					var ideal, reset []analysis.BucketStats
 					for _, spec := range specs {
 						src, err := spec.FiniteSource(s.Config().Branches)
 						if err != nil {
@@ -254,9 +253,10 @@ func registerExtensions() {
 							return nil, err
 						}
 						missSum += rs[0].MissRate()
-						idealRuns = append(idealRuns, rs[0].Buckets)
-						resetRuns = append(resetRuns, rs[1].Buckets)
+						ideal = append(ideal, rs[0].Buckets)
+						reset = append(reset, rs[1].Buckets)
 					}
+					idealRuns, resetRuns = DerivedRuns(ideal...), DerivedRuns(reset...)
 					nspecs = len(specs)
 				}
 				miss := 100 * missSum / float64(nspecs)
@@ -296,8 +296,8 @@ func registerExtensions() {
 			}
 			var curves []analysis.Curve
 			var names []string
-			for _, res := range sr.Runs {
-				c := s.SingleRun(res.Buckets).Curve()
+			for i, res := range sr.Runs {
+				c := s.SingleRun(sr.Pick(i)).Curve()
 				curves = append(curves, c)
 				names = append(names, res.Benchmark)
 				o.Series = append(o.Series, analysis.Series{Label: res.Benchmark, Curve: c})
@@ -412,7 +412,7 @@ func registerExtensions() {
 				}
 			}
 			for i, pol := range policies {
-				c := s.Pooled(perPolicy[i]).Curve()
+				c := s.Pooled(DerivedRuns(perPolicy[i]...)).Curve()
 				o.Series = append(o.Series, analysis.Series{Label: pol.label, Curve: c})
 				o.Scalars[pol.label+"@20%"] = c.MispredsAt(20)
 			}

@@ -15,7 +15,7 @@ func staticCurve(s *Session) (analysis.Curve, error) {
 	if err != nil {
 		return nil, err
 	}
-	return s.Distinct(sr.Stats()).Curve(), nil
+	return s.Distinct(sr.Tallies()).Curve(), nil
 }
 
 // oneLevelCurve computes a pooled-composite curve for a one-level CIR
@@ -25,7 +25,7 @@ func oneLevelCurve(s *Session, scheme core.IndexScheme) (analysis.Curve, error) 
 	if err != nil {
 		return nil, err
 	}
-	return s.Pooled(sr.Stats()).Curve(), nil
+	return s.Pooled(sr.Tallies()).Curve(), nil
 }
 
 func init() {
@@ -65,10 +65,10 @@ func init() {
 			if err != nil {
 				return nil, err
 			}
-			static := s.Distinct(rs[0].Stats()).Curve()
+			static := s.Distinct(rs[0].Tallies()).Curve()
 			o.Series = append(o.Series, analysis.Series{Label: "static", Curve: static})
 			for i, scheme := range schemes {
-				c := s.Pooled(rs[i+1].Stats()).Curve()
+				c := s.Pooled(rs[i+1].Tallies()).Curve()
 				o.Series = append(o.Series, analysis.Series{Label: scheme.String(), Curve: c})
 				o.Scalars[scheme.String()+"@20%"] = c.MispredsAt(20)
 			}
@@ -108,10 +108,10 @@ func init() {
 			if err != nil {
 				return nil, err
 			}
-			static := s.Distinct(rs[0].Stats()).Curve()
+			static := s.Distinct(rs[0].Tallies()).Curve()
 			o.Series = append(o.Series, analysis.Series{Label: "static", Curve: static})
 			for i, v := range variants {
-				c := s.Pooled(rs[i+1].Stats()).Curve()
+				c := s.Pooled(rs[i+1].Tallies()).Curve()
 				label := fmt.Sprintf("%s-%s", v.s1, v.s2)
 				o.Series = append(o.Series, analysis.Series{Label: label, Curve: c})
 				o.Scalars[label+"@20%"] = c.MispredsAt(20)
@@ -134,9 +134,9 @@ func init() {
 			if err != nil {
 				return nil, err
 			}
-			static := s.Distinct(rs[0].Stats()).Curve()
-			one := s.Pooled(rs[1].Stats()).Curve()
-			two := s.Pooled(rs[2].Stats()).Curve()
+			static := s.Distinct(rs[0].Tallies()).Curve()
+			one := s.Pooled(rs[1].Tallies()).Curve()
+			two := s.Pooled(rs[2].Tallies()).Curve()
 			o.Series = []analysis.Series{
 				{Label: "static", Curve: static},
 				{Label: "BHRxorPC", Curve: one},
@@ -170,7 +170,7 @@ func init() {
 			}
 			// Ideal and ones-count derive from the same full-CIR run (and, on
 			// a cold build, from one shared pooled composite).
-			cs := s.Pooled(rs[0].Stats())
+			cs := s.Pooled(rs[0].Tallies())
 			ideal := cs.Curve()
 			ones := cs.Merged("1cnt", func(b uint64) uint64 {
 				return uint64(bits.OnesCount64(b))
@@ -180,7 +180,7 @@ func init() {
 				analysis.Series{Label: "BHRxorPC.1Cnt", Curve: ones},
 			)
 			for i, kind := range kinds {
-				c := s.Pooled(rs[i+1].Stats()).Curve()
+				c := s.Pooled(rs[i+1].Tallies()).Curve()
 				o.Series = append(o.Series, analysis.Series{Label: "BHRxorPC." + kind.String(), Curve: c})
 				o.Scalars[kind.String()+"@20%"] = c.MispredsAt(20)
 			}
@@ -200,7 +200,7 @@ func init() {
 			if err != nil {
 				return nil, err
 			}
-			pooled := s.Pooled(sr.Stats()).Stats()
+			pooled := s.Pooled(sr.Tallies()).Stats()
 			rows := analysis.CounterRows(pooled, 16)
 			o := &Output{
 				ID: "table1", Title: "resetting-counter statistics",
@@ -229,11 +229,12 @@ func init() {
 				return nil, err
 			}
 			for _, name := range []string{"jpeg_play", "real_gcc"} {
-				res, err := sr.ByName(name)
+				i, err := sr.Index(name)
 				if err != nil {
 					return nil, err
 				}
-				c := s.SingleRun(res.Buckets).Curve()
+				res := sr.Runs[i]
+				c := s.SingleRun(sr.Pick(i)).Curve()
 				o.Series = append(o.Series, analysis.Series{Label: name, Curve: c})
 				o.Scalars[name+"@20%"] = c.MispredsAt(20)
 				o.Scalars[name+"-missRate"] = res.MissRate()
@@ -260,7 +261,7 @@ func init() {
 				return nil, err
 			}
 			for i, bitsN := range sizes {
-				c := s.Pooled(rs[i].Stats()).Curve()
+				c := s.Pooled(rs[i].Tallies()).Curve()
 				label := fmt.Sprintf("%d", 1<<bitsN)
 				o.Series = append(o.Series, analysis.Series{Label: label, Curve: c})
 				o.Scalars[label+"@20%"] = c.MispredsAt(20)
@@ -289,7 +290,7 @@ func init() {
 				return nil, err
 			}
 			for i, pol := range policies {
-				c := s.Pooled(rs[i].Stats()).Curve()
+				c := s.Pooled(rs[i].Tallies()).Curve()
 				o.Series = append(o.Series, analysis.Series{Label: pol.String(), Curve: c})
 				o.Scalars[pol.String()+"@20%"] = c.MispredsAt(20)
 			}

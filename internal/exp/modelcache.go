@@ -34,7 +34,7 @@ const modelVersion = 1
 // and follows the annotated budget unless overridden.
 var modelCache memo.ByteLRU
 
-var modelHits, modelMisses atomic.Uint64
+var modelCounts memo.Counters
 
 var modelBoundOverridden atomic.Bool
 
@@ -56,15 +56,13 @@ func SetModelCacheDefaultBound(bytes uint64) {
 
 // ModelCacheReport returns the model cache's observability quad.
 func ModelCacheReport() artifact.TierStats {
-	r, e := modelCache.Usage()
-	return artifact.TierStats{Hits: modelHits.Load(), Misses: modelMisses.Load(), Evictions: e, ResidentBytes: r}
+	return modelCounts.Report(&modelCache)
 }
 
 // ResetModelCache drops every cached model result and zeroes the counters.
 func ResetModelCache() {
 	modelCache.Reset()
-	modelHits.Store(0)
-	modelMisses.Store(0)
+	modelCounts.Reset()
 }
 
 // modelKey builds the canonical model-tier key: model version, model name,
@@ -86,16 +84,15 @@ func (s *Session) modelCounts(key string, want int, build func() ([]uint64, erro
 	if s.cfg.NoModelArtifact {
 		return build()
 	}
-	e, owner := modelCache.Claim(key)
-	if !owner {
-		modelHits.Add(1)
+	e, o := modelCache.Claim(key)
+	modelCounts.Count(o)
+	if o != memo.Miss {
 		<-e.Done
 		if e.Err != nil {
 			return nil, e.Err
 		}
 		return e.Val.([]uint64), nil
 	}
-	modelMisses.Add(1)
 	counts, ok := modelFromDisk(key)
 	if ok && len(counts) != want {
 		if st := artifact.Default(); st != nil {

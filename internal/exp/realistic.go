@@ -35,7 +35,6 @@ func init() {
 			if err != nil {
 				return nil, err
 			}
-			trainRuns := trainSR.Stats()
 			// The evaluation half walks each program along a disjoint
 			// dynamic path (different walk seed, same build). It is used
 			// once, so it streams instead of entering the replay cache.
@@ -51,8 +50,8 @@ func init() {
 				}
 				evalRuns = append(evalRuns, evalRes.Buckets)
 			}
-			trainCS := s.Distinct(trainRuns)
-			evalCS := s.Distinct(evalRuns)
+			trainCS := s.Distinct(trainSR.Tallies())
+			evalCS := s.Distinct(DerivedRuns(evalRuns...))
 			optimistic := evalCS.Curve() // eval data, eval-sorted
 			order := trainCS.Curve().Keys()
 			// The ordered accumulation stays on the direct path: its order
@@ -83,7 +82,7 @@ func init() {
 			if err != nil {
 				return nil, err
 			}
-			cs := s.Pooled(sr.Stats())
+			cs := s.Pooled(sr.Tallies())
 			ideal := cs.Curve()
 			plain := cs.Merged("1cnt", func(b uint64) uint64 {
 				return uint64(bits.OnesCount64(b))

@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"branchconf/internal/core"
+	"branchconf/internal/memo"
 	"branchconf/internal/predictor"
 	"branchconf/internal/sim"
 	"branchconf/internal/workload"
@@ -38,7 +39,7 @@ func TestSessionConcurrentClaimants(t *testing.T) {
 
 	s := NewSession(Config{Branches: 3456})
 	const claimants = 8
-	results := make([]sim.SuiteResult, claimants)
+	results := make([]Pass, claimants)
 	errs := make([]error, claimants)
 	var wg sync.WaitGroup
 	for g := 0; g < claimants; g++ {
@@ -72,12 +73,14 @@ func TestSessionConcurrentClaimants(t *testing.T) {
 	if got := predBuilds.Load(); got != n {
 		t.Errorf("predictor constructor ran %d times, want %d (one annotate per benchmark)", got, n)
 	}
-	hits, misses := s.Stats()
-	if misses != 1 {
-		t.Errorf("pass-cache misses = %d, want exactly 1", misses)
+	// Every other claimant shares the one pass: served from the finished
+	// entry (a hit) or parked on it while in flight (coalesced).
+	st := s.Stats()
+	if st.Misses != 1 {
+		t.Errorf("pass-cache misses = %d, want exactly 1", st.Misses)
 	}
-	if hits != claimants-1 {
-		t.Errorf("pass-cache hits = %d, want %d", hits, claimants-1)
+	if st.Hits+st.Coalesced != claimants-1 {
+		t.Errorf("pass-cache hits+coalesced = %d+%d, want %d", st.Hits, st.Coalesced, claimants-1)
 	}
 }
 
@@ -103,7 +106,7 @@ func TestSessionCrossRequestSingleFlight(t *testing.T) {
 	pool := NewSessionPool(4, 0)
 	cfg := Config{Branches: 3456}
 	const requests = 6
-	results := make([]sim.SuiteResult, requests)
+	results := make([]Pass, requests)
 	errs := make([]error, requests)
 	var wg sync.WaitGroup
 	for g := 0; g < requests; g++ {
@@ -134,9 +137,9 @@ func TestSessionCrossRequestSingleFlight(t *testing.T) {
 	if pool.Len() != 1 {
 		t.Errorf("pool holds %d sessions for one config, want 1", pool.Len())
 	}
-	hits, misses, _ := pool.Stats()
-	if misses != 1 || hits != requests-1 {
-		t.Errorf("pool stats = %d hits, %d misses; want %d, 1", hits, misses, requests-1)
+	st, _ := pool.Stats()
+	if st.Misses != 1 || st.Hits+st.Coalesced != requests-1 {
+		t.Errorf("pool stats = %d hits + %d coalesced, %d misses; want %d, 1", st.Hits, st.Coalesced, st.Misses, requests-1)
 	}
 
 	// A distinct config is a distinct session — results may legitimately
@@ -164,8 +167,8 @@ func TestSessionErroredClaimantMidFlight(t *testing.T) {
 
 	// Become the mid-flight owner of the pass.
 	key := passKey(pred.Key + "\x1f" + mech.Key)
-	e, owner := s.passes.Claim(key)
-	if !owner {
+	e, o := s.passes.Claim(key)
+	if o != memo.Miss {
 		t.Fatal("test could not claim the fresh pass")
 	}
 
@@ -181,12 +184,15 @@ func TestSessionErroredClaimantMidFlight(t *testing.T) {
 			_, errs[g] = s.SuiteOne(pred, mech)
 		}()
 	}
-	// Every waiter registers a pass-cache hit when it parks on the
+	// Every waiter registers a coalesced claim when it parks on the
 	// in-flight entry; finish only once all of them are parked, so none
 	// arrives after the errored entry is dropped and accidentally owns a
 	// clean rebuild.
-	for hits, _ := s.Stats(); hits < waiters; hits, _ = s.Stats() {
+	for s.Stats().Coalesced < waiters {
 		runtime.Gosched()
+	}
+	if h := s.Stats().Hits; h != 0 {
+		t.Fatalf("waiters on an in-flight pass counted as %d hits", h)
 	}
 	// The owner errors mid-flight.
 	wantErr := fmt.Errorf("injected mid-flight failure")
@@ -232,7 +238,7 @@ func TestSessionPassEviction(t *testing.T) {
 	if _, err := s.SuiteOne(pred, mech); err != nil {
 		t.Fatal(err)
 	}
-	if _, misses := s.Stats(); misses != 2 {
+	if misses := s.Stats().Misses; misses != 2 {
 		t.Fatalf("evicted pass served from cache: misses=%d, want 2", misses)
 	}
 }
@@ -248,7 +254,7 @@ func TestSessionPoolEviction(t *testing.T) {
 	if pool.Len() != 2 {
 		t.Fatalf("pool holds %d sessions, want 2", pool.Len())
 	}
-	if _, _, evictions := pool.Stats(); evictions != 1 {
+	if _, evictions := pool.Stats(); evictions != 1 {
 		t.Fatalf("evictions = %d, want 1", evictions)
 	}
 	if pool.Get(Config{Branches: 100}) == a {

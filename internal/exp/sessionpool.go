@@ -3,6 +3,8 @@ package exp
 import (
 	"sync"
 	"sync/atomic"
+
+	"branchconf/internal/artifact"
 )
 
 // SessionPool shares Sessions across requests in a resident process: every
@@ -23,9 +25,9 @@ type SessionPool struct {
 	passBond uint64 // per-session pass-cache byte bound (0 = unbounded)
 
 	evictions atomic.Uint64
-	// retiredHits/retiredMisses accumulate pass-cache counters of evicted
-	// sessions so pool-wide stats never move backwards.
-	retiredHits, retiredMisses atomic.Uint64
+	// retired accumulates the pass-cache counters of evicted sessions so
+	// pool-wide stats never move backwards. Guarded by mu.
+	retired artifact.TierStats
 }
 
 type pooledSession struct {
@@ -87,9 +89,7 @@ func (p *SessionPool) evictOldestLocked() {
 	if !found {
 		return
 	}
-	h, m := p.sessions[victim].s.Stats()
-	p.retiredHits.Add(h)
-	p.retiredMisses.Add(m)
+	p.retired = addPassStats(p.retired, p.sessions[victim].s.Stats())
 	delete(p.sessions, victim)
 	p.evictions.Add(1)
 }
@@ -114,17 +114,23 @@ func (p *SessionPool) Len() int {
 	return len(p.sessions)
 }
 
-// Stats aggregates pass-cache hits and misses across resident and retired
-// sessions, plus the pool's session evictions.
-func (p *SessionPool) Stats() (hits, misses, evictions uint64) {
+// Stats aggregates pass-cache claims (hits, misses, coalesced) across
+// resident and retired sessions, plus the pool's session evictions.
+func (p *SessionPool) Stats() (pass artifact.TierStats, evictions uint64) {
 	p.mu.Lock()
+	pass = p.retired
 	for _, ps := range p.sessions {
-		h, m := ps.s.Stats()
-		hits += h
-		misses += m
+		pass = addPassStats(pass, ps.s.Stats())
 	}
 	p.mu.Unlock()
-	hits += p.retiredHits.Load()
-	misses += p.retiredMisses.Load()
-	return hits, misses, p.evictions.Load()
+	return pass, p.evictions.Load()
+}
+
+// addPassStats sums two sessions' pass-cache claim counters.
+func addPassStats(a, b artifact.TierStats) artifact.TierStats {
+	return artifact.TierStats{
+		Hits:      a.Hits + b.Hits,
+		Misses:    a.Misses + b.Misses,
+		Coalesced: a.Coalesced + b.Coalesced,
+	}
 }

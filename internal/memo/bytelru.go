@@ -2,17 +2,80 @@
 // engine's memoized artifacts (flat views, annotated streams, bucket
 // streams in internal/sim; confidence curves in internal/exp): a
 // claim-or-wait map with a resident-bytes bound and least-recently-used
-// eviction.
+// eviction, plus the per-tier claim counters every tier reports.
 package memo
 
-import "sync"
+import (
+	"sync"
+	"sync/atomic"
+
+	"branchconf/internal/artifact"
+)
+
+// Outcome classifies one Claim.
+type Outcome uint8
+
+const (
+	// Miss: the caller became the entry's owner and must build it.
+	Miss Outcome = iota
+	// Hit: the entry was already built when claimed.
+	Hit
+	// Coalesced: the entry was in flight under another owner; the caller
+	// waits on that build instead of starting its own.
+	Coalesced
+)
+
+// Counters is one tier's claim tally. Each Claim counts exactly once, as
+// a hit, a miss, or a coalesced wait, so a wait on an in-flight build
+// never reads as a hit.
+type Counters struct {
+	hits, misses, coalesced atomic.Uint64
+}
+
+// Count records one claim's outcome.
+func (c *Counters) Count(o Outcome) {
+	switch o {
+	case Hit:
+		c.hits.Add(1)
+	case Coalesced:
+		c.coalesced.Add(1)
+	default:
+		c.misses.Add(1)
+	}
+}
+
+// Load returns the counts so far.
+func (c *Counters) Load() (hits, misses, coalesced uint64) {
+	return c.hits.Load(), c.misses.Load(), c.coalesced.Load()
+}
+
+// Report assembles a tier's observability snapshot from these counters and
+// the tier's cache usage.
+func (c *Counters) Report(cache *ByteLRU) artifact.TierStats {
+	r, e := cache.Usage()
+	return artifact.TierStats{
+		Hits:          c.hits.Load(),
+		Misses:        c.misses.Load(),
+		Coalesced:     c.coalesced.Load(),
+		Evictions:     e,
+		ResidentBytes: r,
+	}
+}
+
+// Reset zeroes the counts.
+func (c *Counters) Reset() {
+	c.hits.Store(0)
+	c.misses.Store(0)
+	c.coalesced.Store(0)
+}
 
 // ByteLRU is a claim-or-wait memo map with a resident-bytes bound and
 // least-recently-used eviction.
 //
-//   - The first claimant of a key owns the build; it must publish the entry
-//     with Finish exactly once. Later claimants wait on the entry's Done
-//     channel and share the result.
+//   - The first claimant of a key owns the build (Miss); it must publish
+//     the entry with Finish exactly once. Later claimants wait on the
+//     entry's Done channel and share the result: a Hit when the build had
+//     already finished, Coalesced when it was still in flight.
 //   - A resident-bytes bound evicts completed entries least-recently-used
 //     first; in-flight entries are never evicted, and eviction never
 //     invalidates a build already holding the value — the pointer keeps the
@@ -51,23 +114,26 @@ func (c *ByteLRU) SetBound(bytes uint64) {
 	c.mu.Unlock()
 }
 
-// Claim returns the entry for key and whether the caller became its owner.
-// An owner must build the value and call Finish; a non-owner must wait on
-// e.Done before reading e.Val/e.Err.
-func (c *ByteLRU) Claim(key any) (e *Entry, owner bool) {
+// Claim returns the entry for key and how it was found. On Miss the caller
+// owns the entry and must build the value and call Finish; otherwise it
+// must wait on e.Done before reading e.Val/e.Err.
+func (c *ByteLRU) Claim(key any) (e *Entry, o Outcome) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.clock++
 	if e = c.entries[key]; e != nil {
 		e.lastUse = c.clock
-		return e, false
+		if e.built {
+			return e, Hit
+		}
+		return e, Coalesced
 	}
 	e = &Entry{Done: make(chan struct{}), key: key, lastUse: c.clock}
 	if c.entries == nil {
 		c.entries = make(map[any]*Entry)
 	}
 	c.entries[key] = e
-	return e, true
+	return e, Miss
 }
 
 // Finish publishes a built entry: records its payload size, closes the Done

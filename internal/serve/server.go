@@ -236,8 +236,8 @@ func (s *Server) report(ctx context.Context, req ReportRequest) (_ []byte, cache
 		b, err := s.build(ctx, req)
 		return b, false, err
 	}
-	e, owner := s.reports.Claim(req.Key())
-	if !owner {
+	e, o := s.reports.Claim(req.Key())
+	if o != memo.Miss {
 		<-e.Done
 		if e.Err != nil {
 			return nil, false, e.Err
@@ -290,8 +290,8 @@ func (s *Server) fail(w http.ResponseWriter, status int, err error) {
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	hits, misses, evictions := s.pool.Stats()
-	snap := SnapshotCacheStats(hits, misses, s.cfg.HeapStats)
+	pass, evictions := s.pool.Stats()
+	snap := SnapshotCacheStats(pass, s.cfg.HeapStats)
 	inflight, queued := s.adm.Gauges()
 	full, timeout, draining := s.adm.Rejections()
 	snap.Server = &ServerStatsJSON{

@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"branchconf/internal/artifact"
 	"branchconf/internal/exp"
 )
 
@@ -301,14 +302,14 @@ func TestServerAdmissionSheds(t *testing.T) {
 // encoder, so the tier rows decode identically.
 func TestServerStatsJSONShape(t *testing.T) {
 	var buf bytes.Buffer
-	if err := WriteCacheStatsJSON(&buf, SnapshotCacheStats(3, 4, false)); err != nil {
+	if err := WriteCacheStatsJSON(&buf, SnapshotCacheStats(artifact.TierStats{Hits: 3, Misses: 4, Coalesced: 5}, false)); err != nil {
 		t.Fatal(err)
 	}
 	var snap CacheStatsJSON
 	if err := json.Unmarshal(buf.Bytes(), &snap); err != nil {
 		t.Fatalf("round-trip: %v", err)
 	}
-	if snap.SessionPass.Hits != 3 || snap.SessionPass.Misses != 4 {
+	if snap.SessionPass.Hits != 3 || snap.SessionPass.Misses != 4 || snap.SessionPass.Coalesced != 5 {
 		t.Fatalf("session-pass = %+v", snap.SessionPass)
 	}
 	if len(snap.Tiers) != 8 {
@@ -320,7 +321,7 @@ func TestServerStatsJSONShape(t *testing.T) {
 	if snap.Server != nil {
 		t.Fatal("one-shot snapshot grew a server section")
 	}
-	if !strings.Contains(buf.String(), `"resident_bytes"`) {
+	if !strings.Contains(buf.String(), `"resident_bytes"`) || !strings.Contains(buf.String(), `"coalesced"`) {
 		t.Fatal("snake_case field names missing")
 	}
 }

@@ -16,6 +16,7 @@ type TierStatsJSON struct {
 	Name          string `json:"name"`
 	Hits          uint64 `json:"hits"`
 	Misses        uint64 `json:"misses"`
+	Coalesced     uint64 `json:"coalesced"`
 	Evictions     uint64 `json:"evictions"`
 	ResidentBytes uint64 `json:"resident_bytes"`
 	VerifyFails   uint64 `json:"verify_fails"`
@@ -28,6 +29,7 @@ func tierJSON(name string, s artifact.TierStats) TierStatsJSON {
 		Name:          name,
 		Hits:          s.Hits,
 		Misses:        s.Misses,
+		Coalesced:     s.Coalesced,
 		Evictions:     s.Evictions,
 		ResidentBytes: s.ResidentBytes,
 		VerifyFails:   s.VerifyFails,
@@ -77,9 +79,9 @@ type ServerStatsJSON struct {
 // SnapshotCacheStats assembles the uniform snapshot from the process-wide
 // tiers plus the caller's session-pass counters (a one-shot run reports
 // its private session; the daemon aggregates its pool).
-func SnapshotCacheStats(passHits, passMisses uint64, heapStages bool) CacheStatsJSON {
+func SnapshotCacheStats(pass artifact.TierStats, heapStages bool) CacheStatsJSON {
 	out := CacheStatsJSON{
-		SessionPass: tierJSON("session-pass", artifact.TierStats{Hits: passHits, Misses: passMisses}),
+		SessionPass: tierJSON("session-pass", pass),
 	}
 	for _, tier := range exp.CacheTiers() {
 		out.Tiers = append(out.Tiers, tierJSON(tier.Name, tier.Stats))

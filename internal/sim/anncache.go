@@ -2,7 +2,6 @@ package sim
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"branchconf/internal/artifact"
 	"branchconf/internal/memo"
@@ -38,10 +37,10 @@ type annKey struct {
 
 var annCache memo.ByteLRU
 
-// Cache observability counters. Hits and misses count annotated-stream
-// claims (the expensive artifact); flat views piggyback on the same keys
-// one level up.
-var annHits, annMisses atomic.Uint64
+// Cache observability counters. They count annotated-stream claims (the
+// expensive artifact), one per (suite run, benchmark); flat views
+// piggyback on the same keys one level up.
+var annCounts memo.Counters
 
 // CacheStats is one cache's observability snapshot, as printed under the
 // paperrepro -cache-stats flag — the uniform hit/miss/eviction/resident
@@ -62,23 +61,21 @@ func SetAnnotatedCacheBound(bytes uint64) {
 // (claims of annotated streams; resident bytes include the flat views
 // sharing the budget).
 func AnnotatedCacheReport() CacheStats {
-	r, e := annCache.Usage()
-	return CacheStats{Hits: annHits.Load(), Misses: annMisses.Load(), Evictions: e, ResidentBytes: r}
+	return annCounts.Report(&annCache)
 }
 
 // ResetAnnotatedCache drops every cached entry and zeroes the counters. The
 // bound is retained. Intended for tests and batch boundaries.
 func ResetAnnotatedCache() {
 	annCache.Reset()
-	annHits.Store(0)
-	annMisses.Store(0)
+	annCounts.Reset()
 }
 
 // flatFor returns the shared flat view for (spec, budget), building it from
 // the suite's replay buffer on first use.
 func flatFor(cfg SuiteConfig, spec workload.Spec, n uint64) (*trace.FlatView, error) {
-	e, owner := annCache.Claim(flatKey{spec: spec, n: n})
-	if !owner {
+	e, o := annCache.Claim(flatKey{spec: spec, n: n})
+	if o != memo.Miss {
 		<-e.Done
 		flat, _ := e.Val.(*trace.FlatView)
 		return flat, e.Err
@@ -112,14 +109,13 @@ func annotatedFor(cfg SuiteConfig, spec workload.Spec, predKey string, newPred f
 		return nil, nil, err
 	}
 
-	e, owner := annCache.Claim(annKey{spec: spec, n: n, predKey: predKey})
-	if !owner {
-		annHits.Add(1)
+	e, o := annCache.Claim(annKey{spec: spec, n: n, predKey: predKey})
+	annCounts.Count(o)
+	if o != memo.Miss {
 		<-e.Done
 		ann, _ := e.Val.(*AnnotatedStream)
 		return flat, ann, e.Err
 	}
-	annMisses.Add(1)
 	ann := annotatedFromDisk(spec, n, predKey, flat)
 	if ann == nil {
 		ann = Annotate(flat, newPred())

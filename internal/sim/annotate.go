@@ -258,6 +258,7 @@ func RunSuiteAnnotated(cfg SuiteConfig, predKey string, newPred func() predictor
 		perSpec[i] = make([]Result, len(newMechs))
 	}
 	chunks := chunkIndices(len(newMechs), currentParallelism())
+	anns := make([]annotatedSlot, len(specs))
 	errs := make([]error, len(chunks))
 	var wg sync.WaitGroup
 	for c, chunk := range chunks {
@@ -267,7 +268,7 @@ func RunSuiteAnnotated(cfg SuiteConfig, predKey string, newPred func() predictor
 			defer wg.Done()
 			release := acquireSlot()
 			defer release()
-			errs[c] = runMechChunk(cfg, specs, predKey, newPred, newMechs, chunk, perSpec)
+			errs[c] = runMechChunk(cfg, specs, anns, predKey, newPred, newMechs, chunk, perSpec)
 		}()
 	}
 	wg.Wait()
@@ -285,19 +286,38 @@ func RunSuiteAnnotated(cfg SuiteConfig, predKey string, newPred func() predictor
 	return out, nil
 }
 
+// annotatedSlot is one benchmark's (flat view, annotated stream) pair
+// within one suite run. The first chunk to reach it claims the pair from
+// the annotated cache; the run's other chunks share the slot, so the cache
+// counts one claim per (suite run, benchmark) at any chunk count.
+type annotatedSlot struct {
+	once sync.Once
+	flat *trace.FlatView
+	ann  *AnnotatedStream
+	err  error
+}
+
+// get returns the slot's pair, claiming it on first use.
+func (s *annotatedSlot) get(cfg SuiteConfig, spec workload.Spec, predKey string, newPred func() predictor.Predictor) (*trace.FlatView, *AnnotatedStream, error) {
+	s.once.Do(func() {
+		s.flat, s.ann, s.err = annotatedFor(cfg, spec, predKey, newPred)
+	})
+	return s.flat, s.ann, s.err
+}
+
 // runMechChunk replays every benchmark through one chunk of mechanisms,
 // writing results into perSpec[spec][mech]. The chunk's mechanism instances
 // are built once and Reset between benchmarks. Stage labels "annotate",
 // "tally" and "replay" mark the work for CPU profiles; the first chunk to
-// claim a benchmark's cache entry pays the annotation walk, later chunks
-// wait on the entry and go straight to tally/replay.
+// reach a benchmark's slot pays the annotation walk (or the cache claim),
+// later chunks wait on the slot and go straight to tally/replay.
 //
 // Factorable mechanisms (unless cfg.NoTally, or the mechanism also reads
 // predictor state) are served by the stage-3 bucket-stream cache: their
 // result shares the geometry's immutable base histogram, and the per-branch
 // walk happens at most once per geometry process-wide. The rest replay on
 // the stage-2 path.
-func runMechChunk(cfg SuiteConfig, specs []workload.Spec, predKey string, newPred func() predictor.Predictor, newMechs []func() core.Mechanism, chunk []int, perSpec [][]Result) error {
+func runMechChunk(cfg SuiteConfig, specs []workload.Spec, anns []annotatedSlot, predKey string, newPred func() predictor.Predictor, newMechs []func() core.Mechanism, chunk []int, perSpec [][]Result) error {
 	mechs := make([]core.Mechanism, len(chunk))
 	for k, j := range chunk {
 		mechs[k] = newMechs[j]()
@@ -308,7 +328,7 @@ func runMechChunk(cfg SuiteConfig, specs []workload.Spec, predKey string, newPre
 		var ann *AnnotatedStream
 		var err error
 		pprof.Do(context.Background(), pprof.Labels("benchmark", spec.Name, "stage", "annotate"), func(context.Context) {
-			flat, ann, err = annotatedFor(cfg, spec, predKey, newPred)
+			flat, ann, err = anns[i].get(cfg, spec, predKey, newPred)
 		})
 		heapwatch.Sample("annotate")
 		if err != nil {

@@ -1,7 +1,9 @@
 package sim
 
 import (
+	"fmt"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"branchconf/internal/core"
@@ -141,8 +143,21 @@ func TestAnnotateWithoutStateLane(t *testing.T) {
 
 // TestRunSuiteAnnotatedMatchesBatch: the full two-stage suite engine must
 // be byte-identical to the interleaved suite engine, and a second run must
-// be served from the annotated cache.
+// be served from the annotated cache. It runs at one worker and at every
+// CPU: with several mechanism chunks, a chunk that reaches a benchmark
+// another chunk is annotating shares that build inside the run, and the
+// cache must still count the run's claims as misses, never hits.
 func TestRunSuiteAnnotatedMatchesBatch(t *testing.T) {
+	defer SetParallelism(0)
+	for _, workers := range []int{1, runtime.NumCPU()} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			SetParallelism(workers)
+			testRunSuiteAnnotatedMatchesBatch(t)
+		})
+	}
+}
+
+func testRunSuiteAnnotatedMatchesBatch(t *testing.T) {
 	defer ResetAnnotatedCache()
 	defer workload.ResetMaterializeCache()
 	ResetAnnotatedCache()
@@ -168,6 +183,9 @@ func TestRunSuiteAnnotatedMatchesBatch(t *testing.T) {
 	hits, misses, resident := rep.Hits, rep.Misses, rep.ResidentBytes
 	if hits != 0 {
 		t.Fatalf("first annotated run: want 0 hits, got %d", hits)
+	}
+	if rep.Coalesced != 0 {
+		t.Fatalf("first annotated run: want 0 coalesced claims, got %d", rep.Coalesced)
 	}
 	if misses == 0 || resident == 0 {
 		t.Fatalf("first annotated run: want misses and resident bytes, got %d / %d", misses, resident)

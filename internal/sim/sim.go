@@ -239,12 +239,21 @@ func (s SuiteResult) CompositeMissRate() float64 {
 
 // ByName returns the named benchmark's run.
 func (s SuiteResult) ByName(name string) (Result, error) {
-	for _, r := range s.Runs {
+	i, err := s.Index(name)
+	if err != nil {
+		return Result{}, err
+	}
+	return s.Runs[i], nil
+}
+
+// Index returns the suite position of the named benchmark's run.
+func (s SuiteResult) Index(name string) (int, error) {
+	for i, r := range s.Runs {
 		if r.Benchmark == name {
-			return r, nil
+			return i, nil
 		}
 	}
-	return Result{}, fmt.Errorf("sim: no run for benchmark %q", name)
+	return 0, fmt.Errorf("sim: no run for benchmark %q", name)
 }
 
 // RunSuite replays every benchmark through fresh predictor and mechanism

@@ -179,7 +179,7 @@ type bucketKey struct {
 // (SetBucketCacheBound).
 var bucketCache memo.ByteLRU
 
-var bucketHits, bucketMisses atomic.Uint64
+var bucketCounts memo.Counters
 
 // bucketBoundOverridden records an explicit SetBucketCacheBound call, after
 // which SetTallyCacheDefaultBound no longer tracks the annotated bound.
@@ -203,16 +203,14 @@ func SetTallyCacheDefaultBound(bytes uint64) {
 
 // BucketCacheReport returns the bucket-stream cache's observability quad.
 func BucketCacheReport() CacheStats {
-	r, e := bucketCache.Usage()
-	return CacheStats{Hits: bucketHits.Load(), Misses: bucketMisses.Load(), Evictions: e, ResidentBytes: r}
+	return bucketCounts.Report(&bucketCache)
 }
 
 // ResetBucketCache drops every cached bucket stream and zeroes the
 // counters. The bound (and whether it was overridden) is retained.
 func ResetBucketCache() {
 	bucketCache.Reset()
-	bucketHits.Store(0)
-	bucketMisses.Store(0)
+	bucketCounts.Reset()
 }
 
 // bucketStreamFor returns the memoized bucket stream for one (benchmark,
@@ -228,14 +226,13 @@ func bucketStreamFor(cfg SuiteConfig, spec workload.Spec, predKey string, flat *
 	if n == 0 {
 		n = spec.DefaultBranches
 	}
-	e, owner := bucketCache.Claim(bucketKey{spec: spec, n: n, predKey: predKey, geom: fm.GeometryKey()})
-	if !owner {
-		bucketHits.Add(1)
+	e, o := bucketCache.Claim(bucketKey{spec: spec, n: n, predKey: predKey, geom: fm.GeometryKey()})
+	bucketCounts.Count(o)
+	if o != memo.Miss {
 		<-e.Done
 		bs, _ := e.Val.(*BucketStream)
 		return bs, e.Err
 	}
-	bucketMisses.Add(1)
 	bs := bucketStreamFromDisk(spec, n, predKey, fm.GeometryKey(), ann)
 	if bs == nil {
 		width := fm.BucketWidth()
