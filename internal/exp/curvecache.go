@@ -14,6 +14,7 @@ import (
 	"branchconf/internal/analysis"
 	"branchconf/internal/artifact"
 	"branchconf/internal/memo"
+	"branchconf/internal/sim"
 )
 
 // The curve tier: sorted confidence curves are pure functions of the
@@ -68,7 +69,7 @@ func SetCurveCacheDefaultBound(bytes uint64) {
 
 // CurveCacheReport returns the curve cache's observability quad.
 func CurveCacheReport() artifact.TierStats {
-	return curveCounts.Report(&curveCache)
+	return sim.CacheReport(&curveCounts, &curveCache)
 }
 
 // ResetCurveCache drops every cached curve and zeroes the counters. The
@@ -78,12 +79,12 @@ func ResetCurveCache() {
 	curveCounts.Reset()
 }
 
-// RunSet is the per-run tallies a CurveSet composites, plus where their
-// digests come from: a resident pass's stored digests, or — when digests
-// is nil — the tallies themselves, hashed when the set is first keyed.
+// RunSet is the per-run tallies a CurveSet composites, plus their
+// HashRun digests: a resident pass's stored digests, or — when digests is
+// nil — none yet, so the tallies are hashed when the set is first keyed.
 type RunSet struct {
 	stats   []analysis.BucketStats
-	digests func() [][sha256.Size]byte // parallel to stats
+	digests [][sha256.Size]byte // parallel to stats
 }
 
 // DerivedRuns wraps tallies built per request — a fresh walk, a re-seeded
@@ -156,7 +157,7 @@ func (c *CurveSet) contentHash() string {
 	c.hashOnce.Do(func() {
 		var h [sha256.Size]byte
 		if c.runs.digests != nil {
-			h = analysis.CombineRunDigests(c.runs.digests())
+			h = analysis.CombineRunDigests(c.runs.digests)
 		} else {
 			pprof.Do(context.Background(), pprof.Labels("stage", "curve-key"), func(context.Context) {
 				h = analysis.HashRuns(c.runs.stats)

@@ -4,7 +4,6 @@ import (
 	"context"
 	"crypto/sha256"
 	"runtime/pprof"
-	"sync"
 
 	"branchconf/internal/analysis"
 	"branchconf/internal/artifact"
@@ -151,61 +150,45 @@ func (s *Session) runSuite(pred PredSpec, newMechs []func() core.Mechanism) ([]s
 }
 
 // Pass is one (predictor, mechanism) suite pass as the session holds it:
-// the engine's per-benchmark results plus the per-run tally digests the
-// curve tier keys on. The digests belong to the resident pass — computed
-// at most once while it stays cached and evicted with it — so a request
-// that re-reads a resident pass never re-hashes its tallies.
+// the engine's per-benchmark results plus each run's tally digest
+// (analysis.HashRun), which the curve tier keys on. The pass's owner
+// computes the digests once, before publishing the pass, and they are
+// evicted with it, so a request that re-reads a resident pass never
+// re-hashes its tallies.
 type Pass struct {
 	sim.SuiteResult
-	rp *residentPass
+	digests [][sha256.Size]byte // parallel to Runs
 }
 
-// residentPass is a pass-cache entry's value.
-type residentPass struct {
-	res     sim.SuiteResult
-	once    sync.Once
-	digests [][sha256.Size]byte
-}
-
-// runDigests returns the pass's per-run analysis.HashRun digests in suite
-// order, computing them on first use. Hashing is deferred rather than done
-// by the pass's owner because many passes (miss rates, model inputs) never
-// reach the curve tier.
-func (rp *residentPass) runDigests() [][sha256.Size]byte {
-	rp.once.Do(func() {
-		pprof.Do(context.Background(), pprof.Labels("stage", "curve-key"), func(context.Context) {
-			ds := make([][sha256.Size]byte, len(rp.res.Runs))
-			for i, r := range rp.res.Runs {
-				ds[i] = analysis.HashRun(r.Buckets)
-			}
-			rp.digests = ds
-		})
+// newPass digests every run of res under the stage=curve-key profile label.
+func newPass(res sim.SuiteResult) Pass {
+	ds := make([][sha256.Size]byte, len(res.Runs))
+	pprof.Do(context.Background(), pprof.Labels("stage", "curve-key"), func(context.Context) {
+		for i, r := range res.Runs {
+			ds[i] = analysis.HashRun(r.Buckets)
+		}
 	})
-	return rp.digests
+	return Pass{SuiteResult: res, digests: ds}
 }
 
 // Tallies returns every run's tallies in suite order, keyed by the pass's
 // stored digests.
 func (p Pass) Tallies() RunSet {
-	return RunSet{stats: p.Stats(), digests: p.rp.runDigests}
+	return RunSet{stats: p.Stats(), digests: p.digests}
 }
 
 // Pick returns the tallies of the runs at the given suite indices, in that
 // order, keyed by the pass's stored digests.
 func (p Pass) Pick(idx ...int) RunSet {
-	stats := make([]analysis.BucketStats, len(idx))
-	for k, i := range idx {
-		stats[k] = p.Runs[i].Buckets
+	rs := RunSet{
+		stats:   make([]analysis.BucketStats, len(idx)),
+		digests: make([][sha256.Size]byte, len(idx)),
 	}
-	rp := p.rp
-	return RunSet{stats: stats, digests: func() [][sha256.Size]byte {
-		all := rp.runDigests()
-		ds := make([][sha256.Size]byte, len(idx))
-		for k, i := range idx {
-			ds[k] = all[i]
-		}
-		return ds
-	}}
+	for k, i := range idx {
+		rs.stats[k] = p.Runs[i].Buckets
+		rs.digests[k] = p.digests[i]
+	}
+	return rs
 }
 
 // Suite returns one whole-suite pass per mechanism, all simulated under
@@ -245,7 +228,7 @@ func (s *Session) Suite(pred PredSpec, mechs ...MechSpec) ([]Pass, error) {
 				s.passes.Finish(e, 0)
 				continue
 			}
-			e.Val = &residentPass{res: res[j]}
+			e.Val = newPass(res[j])
 			s.passes.Finish(e, passBytes(res[j]))
 		}
 	}
@@ -256,8 +239,7 @@ func (s *Session) Suite(pred PredSpec, mechs ...MechSpec) ([]Pass, error) {
 		if e.Err != nil {
 			return nil, e.Err
 		}
-		rp := e.Val.(*residentPass)
-		out[i] = Pass{SuiteResult: rp.res, rp: rp}
+		out[i] = e.Val.(Pass)
 	}
 	return out, nil
 }

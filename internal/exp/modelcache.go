@@ -9,6 +9,7 @@ import (
 
 	"branchconf/internal/artifact"
 	"branchconf/internal/memo"
+	"branchconf/internal/sim"
 )
 
 // The model tier: the cycle-driven application models (internal/pipeline's
@@ -56,7 +57,7 @@ func SetModelCacheDefaultBound(bytes uint64) {
 
 // ModelCacheReport returns the model cache's observability quad.
 func ModelCacheReport() artifact.TierStats {
-	return modelCounts.Report(&modelCache)
+	return sim.CacheReport(&modelCounts, &modelCache)
 }
 
 // ResetModelCache drops every cached model result and zeroes the counters.

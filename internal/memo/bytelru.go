@@ -8,8 +8,6 @@ package memo
 import (
 	"sync"
 	"sync/atomic"
-
-	"branchconf/internal/artifact"
 )
 
 // Outcome classifies one Claim.
@@ -47,19 +45,6 @@ func (c *Counters) Count(o Outcome) {
 // Load returns the counts so far.
 func (c *Counters) Load() (hits, misses, coalesced uint64) {
 	return c.hits.Load(), c.misses.Load(), c.coalesced.Load()
-}
-
-// Report assembles a tier's observability snapshot from these counters and
-// the tier's cache usage.
-func (c *Counters) Report(cache *ByteLRU) artifact.TierStats {
-	r, e := cache.Usage()
-	return artifact.TierStats{
-		Hits:          c.hits.Load(),
-		Misses:        c.misses.Load(),
-		Coalesced:     c.coalesced.Load(),
-		Evictions:     e,
-		ResidentBytes: r,
-	}
 }
 
 // Reset zeroes the counts.

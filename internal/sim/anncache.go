@@ -61,7 +61,15 @@ func SetAnnotatedCacheBound(bytes uint64) {
 // (claims of annotated streams; resident bytes include the flat views
 // sharing the budget).
 func AnnotatedCacheReport() CacheStats {
-	return annCounts.Report(&annCache)
+	return CacheReport(&annCounts, &annCache)
+}
+
+// CacheReport assembles one memo tier's observability snapshot from its
+// claim counters and its cache's usage.
+func CacheReport(c *memo.Counters, cache *memo.ByteLRU) CacheStats {
+	h, m, co := c.Load()
+	r, e := cache.Usage()
+	return CacheStats{Hits: h, Misses: m, Coalesced: co, Evictions: e, ResidentBytes: r}
 }
 
 // ResetAnnotatedCache drops every cached entry and zeroes the counters. The

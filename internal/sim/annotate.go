@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"runtime/pprof"
 	"sync"
+	"sync/atomic"
 
 	"branchconf/internal/bitvec"
 	"branchconf/internal/core"
@@ -259,6 +260,9 @@ func RunSuiteAnnotated(cfg SuiteConfig, predKey string, newPred func() predictor
 	}
 	chunks := chunkIndices(len(newMechs), currentParallelism())
 	anns := make([]annotatedSlot, len(specs))
+	for i := range anns {
+		anns[i].users.Store(int32(len(chunks)))
+	}
 	errs := make([]error, len(chunks))
 	var wg sync.WaitGroup
 	for c, chunk := range chunks {
@@ -289,12 +293,16 @@ func RunSuiteAnnotated(cfg SuiteConfig, predKey string, newPred func() predictor
 // annotatedSlot is one benchmark's (flat view, annotated stream) pair
 // within one suite run. The first chunk to reach it claims the pair from
 // the annotated cache; the run's other chunks share the slot, so the cache
-// counts one claim per (suite run, benchmark) at any chunk count.
+// counts one claim per (suite run, benchmark) at any chunk count. The last
+// chunk to finish with the benchmark drops the slot's references, so the
+// run holds no stream past its benchmark and the annotated cache's bound
+// alone decides what stays resident.
 type annotatedSlot struct {
-	once sync.Once
-	flat *trace.FlatView
-	ann  *AnnotatedStream
-	err  error
+	once  sync.Once
+	users atomic.Int32 // chunks not yet done with the benchmark
+	flat  *trace.FlatView
+	ann   *AnnotatedStream
+	err   error
 }
 
 // get returns the slot's pair, claiming it on first use.
@@ -303,6 +311,14 @@ func (s *annotatedSlot) get(cfg SuiteConfig, spec workload.Spec, predKey string,
 		s.flat, s.ann, s.err = annotatedFor(cfg, spec, predKey, newPred)
 	})
 	return s.flat, s.ann, s.err
+}
+
+// release marks one chunk done with the slot's benchmark; the last one
+// drops the pair.
+func (s *annotatedSlot) release() {
+	if s.users.Add(-1) == 0 {
+		s.flat, s.ann = nil, nil
+	}
 }
 
 // runMechChunk replays every benchmark through one chunk of mechanisms,
@@ -349,6 +365,7 @@ func runMechChunk(cfg SuiteConfig, specs []workload.Spec, anns []annotatedSlot, 
 			if needsState {
 				// The predictor cannot annotate the state a mechanism in
 				// this chunk reads; run this benchmark interleaved instead.
+				anns[i].release()
 				rs, err := runInterleavedUnit(cfg, spec, newPred, mechs)
 				if err != nil {
 					return err
@@ -405,6 +422,7 @@ func runMechChunk(cfg SuiteConfig, specs []workload.Spec, anns []annotatedSlot, 
 			}
 		}
 		if len(replayMechs) == 0 {
+			anns[i].release()
 			continue
 		}
 		accums = accums[:len(replayMechs)]
@@ -414,6 +432,7 @@ func runMechChunk(cfg SuiteConfig, specs []workload.Spec, anns []annotatedSlot, 
 		pprof.Do(context.Background(), pprof.Labels("benchmark", spec.Name, "stage", "replay"), func(context.Context) {
 			replayAnnotated(flat, ann, replayMechs, accums)
 		})
+		anns[i].release()
 		heapwatch.Sample("replay")
 		for x, k := range replayAt {
 			perSpec[i][chunk[k]] = Result{

@@ -276,6 +276,37 @@ func TestAnnotatedCacheBound(t *testing.T) {
 	}
 }
 
+// TestAnnotatedSlotReleasedByLastChunk: a suite run's per-benchmark slot
+// keeps its stream while any chunk still needs it and drops it when the
+// last one is done, so a run never holds streams past their benchmark
+// beyond what the annotated cache's bound keeps.
+func TestAnnotatedSlotReleasedByLastChunk(t *testing.T) {
+	defer ResetAnnotatedCache()
+	defer workload.ResetMaterializeCache()
+	ResetAnnotatedCache()
+	cfg := SuiteConfig{Branches: 2000}
+	newPred := func() predictor.Predictor { return predictor.Gshare64K() }
+	var s annotatedSlot
+	s.users.Store(2)
+	for chunk := 0; chunk < 2; chunk++ {
+		flat, ann, err := s.get(cfg, workload.Suite()[0], "gshare-64K", newPred)
+		if err != nil || flat == nil || ann == nil {
+			t.Fatalf("chunk %d: got (%v, %v, %v)", chunk, flat, ann, err)
+		}
+	}
+	s.release()
+	if s.flat == nil || s.ann == nil {
+		t.Fatal("slot dropped its stream while a chunk still uses it")
+	}
+	s.release()
+	if s.flat != nil || s.ann != nil {
+		t.Fatal("slot kept its stream after its last chunk")
+	}
+	if rep := AnnotatedCacheReport(); rep.Misses != 1 || rep.Hits+rep.Coalesced != 0 {
+		t.Fatalf("two chunks on one slot: want 1 claim, got %+v", rep)
+	}
+}
+
 // TestRunBatchAnnotatedStrength: the interleaved batch engine feeds
 // captured annotation state to coupled mechanisms, so the reference-free
 // strength mechanism matches the live-coupled one exactly.

@@ -203,7 +203,7 @@ func SetTallyCacheDefaultBound(bytes uint64) {
 
 // BucketCacheReport returns the bucket-stream cache's observability quad.
 func BucketCacheReport() CacheStats {
-	return bucketCounts.Report(&bucketCache)
+	return CacheReport(&bucketCounts, &bucketCache)
 }
 
 // ResetBucketCache drops every cached bucket stream and zeroes the
