@@ -18,13 +18,12 @@ import (
 // It sweeps the hardest benchmark (real_gcc, the largest static branch
 // population) at three horizons — 1/16, 1/4 and all of the session budget —
 // and reports each mechanism's mispredict coverage at 20% of dynamic
-// branches plus the predictor's composite miss rate per horizon.
+// branches plus the predictor's composite miss rate per horizon. The
+// trace is walked once: the shorter horizons are prefix cuts of the walk.
 //
-// The experiment is OptIn: its interesting budgets (10^8 branches and up,
-// under -segment-branches) dwarf a default report run, so it only executes
-// when -only names it. At any budget it runs bounded-memory when the
-// session streams (Config.SegmentBranches), making it the natural driver
-// for memory-ceiling smoke checks.
+// The experiment is OptIn: its interesting budgets (10^8 branches and up)
+// dwarf a default report run. It runs bounded-memory when the session
+// streams, making it the natural driver for memory-ceiling smoke checks.
 func init() {
 	register(Experiment{
 		ID:    "longhorizon",
@@ -35,18 +34,36 @@ func init() {
 	})
 }
 
+// batchEachHorizon is the -no-annotate reference: an independent interleaved pass per horizon.
+func batchEachHorizon(cfg sim.SuiteConfig, horizons []uint64, newMechs []func() core.Mechanism) ([][]sim.SuiteResult, error) {
+	out := make([][]sim.SuiteResult, len(horizons))
+	for i, h := range horizons {
+		cfg.Branches = h
+		rs, err := sim.RunSuiteBatch(cfg, predGshare64K.New, newMechs)
+		if err != nil {
+			return nil, err
+		}
+		out[i] = rs
+	}
+	return out, nil
+}
+
 func runLongHorizon(s *Session) (*Output, error) {
+	if s.Config().NoAnnotate {
+		return longHorizon(s, batchEachHorizon)
+	}
+	return longHorizon(s, func(cfg sim.SuiteConfig, hs []uint64, nm []func() core.Mechanism) ([][]sim.SuiteResult, error) {
+		return sim.RunSuiteHorizons(cfg, hs, predGshare64K.Key, predGshare64K.New, nm)
+	})
+}
+
+// longHorizon renders the sweep from sweep's suite passes, one []SuiteResult per horizon.
+func longHorizon(s *Session, sweep func(sim.SuiteConfig, []uint64, []func() core.Mechanism) ([][]sim.SuiteResult, error)) (*Output, error) {
 	spec, err := workload.ByName("real_gcc")
 	if err != nil {
 		return nil, err
 	}
-	budget := s.Branches()
-	horizons := []uint64{budget / 16, budget / 4, budget}
-	for i := range horizons {
-		if horizons[i] == 0 {
-			horizons[i] = 1
-		}
-	}
+	horizons := []uint64{max(s.Branches()/16, 1), max(s.Branches()/4, 1), s.Branches()}
 	mechs := []struct {
 		label string
 		spec  MechSpec
@@ -57,8 +74,16 @@ func runLongHorizon(s *Session) (*Output, error) {
 		})},
 		{"resetting", mechResetting},
 	}
-
+	newMechs := make([]func() core.Mechanism, len(mechs))
+	for i, m := range mechs {
+		newMechs[i] = m.spec.New
+	}
+	// Per-horizon budgets bypass the session pass cache; nil Source picks the sim default.
 	cfg := s.Config()
+	passes, err := sweep(sim.SuiteConfig{Specs: []workload.Spec{spec}, NoTally: cfg.NoTally, SegmentBranches: cfg.SegmentBranches}, horizons, newMechs)
+	if err != nil {
+		return nil, err
+	}
 	o := &Output{ID: "longhorizon", Title: "warmup and aliasing vs trace length", Scalars: map[string]float64{}}
 	var b strings.Builder
 	b.WriteString("horizon(branches)  miss%   ")
@@ -66,41 +91,16 @@ func runLongHorizon(s *Session) (*Output, error) {
 		fmt.Fprintf(&b, "%18s", m.label+"@20%")
 	}
 	b.WriteString("\n")
-	for _, h := range horizons {
-		// Per-horizon budgets differ from the session's, so these passes
-		// bypass the session pass cache and hit the sim engine directly —
-		// streaming when the session streams. Nil Source/Buffer pick the sim
-		// defaults: generator sources under streaming, the process-wide
-		// materialize cache otherwise.
-		scfg := sim.SuiteConfig{
-			Branches:        h,
-			Specs:           []workload.Spec{spec},
-			NoTally:         cfg.NoTally,
-			SegmentBranches: cfg.SegmentBranches,
-		}
-		newMechs := make([]func() core.Mechanism, len(mechs))
-		for i, m := range mechs {
-			newMechs[i] = m.spec.New
-		}
-		var rs []sim.SuiteResult
-		var err error
-		if cfg.NoAnnotate {
-			rs, err = sim.RunSuiteBatch(scfg, predGshare64K.New, newMechs)
-		} else {
-			rs, err = sim.RunSuiteAnnotated(scfg, predGshare64K.Key, predGshare64K.New, newMechs)
-		}
-		if err != nil {
-			return nil, err
-		}
-		miss := 100 * rs[0].CompositeMissRate()
+	for hi, h := range horizons {
+		miss := 100 * passes[hi][0].CompositeMissRate()
 		fmt.Fprintf(&b, "%17d  %5.2f  ", h, miss)
 		o.Scalars[fmt.Sprintf("miss%%@%d", h)] = miss
 		for i, m := range mechs {
 			var curve analysis.Curve
 			if cfg.NoCurveArtifact {
-				curve = analysis.BuildCurve(analysis.CompositePooled(rs[i].Stats()))
+				curve = analysis.BuildCurve(analysis.CompositePooled(passes[hi][i].Stats()))
 			} else {
-				curve = s.Pooled(DerivedRuns(rs[i].Stats()...)).Curve()
+				curve = s.Pooled(DerivedRuns(passes[hi][i].Stats()...)).Curve()
 			}
 			cov := curve.MispredsAt(20)
 			fmt.Fprintf(&b, "%17.2f%%", cov)

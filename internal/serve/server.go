@@ -75,8 +75,7 @@ type Server struct {
 	requestsTotal  atomic.Uint64
 	requestsOK     atomic.Uint64
 	requestsFailed atomic.Uint64
-	reportHits     atomic.Uint64
-	reportMisses   atomic.Uint64
+	reportCounts   memo.Counters // rendered-report cache claims
 	pressureEvents atomic.Uint64
 
 	janitorStop chan struct{}
@@ -237,15 +236,14 @@ func (s *Server) report(ctx context.Context, req ReportRequest) (_ []byte, cache
 		return b, false, err
 	}
 	e, o := s.reports.Claim(req.Key())
+	s.reportCounts.Count(o)
 	if o != memo.Miss {
 		<-e.Done
 		if e.Err != nil {
 			return nil, false, e.Err
 		}
-		s.reportHits.Add(1)
 		return e.Val.([]byte), true, nil
 	}
-	s.reportMisses.Add(1)
 	b, err := s.build(ctx, req)
 	if err != nil {
 		e.Err = err
@@ -294,21 +292,23 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	snap := SnapshotCacheStats(pass, s.cfg.HeapStats)
 	inflight, queued := s.adm.Gauges()
 	full, timeout, draining := s.adm.Rejections()
+	hits, misses, coalesced := s.reportCounts.Load()
 	snap.Server = &ServerStatsJSON{
-		RequestsTotal:     s.requestsTotal.Load(),
-		RequestsOK:        s.requestsOK.Load(),
-		RequestsFailed:    s.requestsFailed.Load(),
-		ReportCacheHits:   s.reportHits.Load(),
-		ReportCacheMisses: s.reportMisses.Load(),
-		Inflight:          inflight,
-		Queued:            queued,
-		RejectedFull:      full,
-		RejectedTimeout:   timeout,
-		RejectedDraining:  draining,
-		SessionsResident:  s.pool.Len(),
-		SessionEvictions:  evictions,
-		PressureEvents:    s.pressureEvents.Load(),
-		Draining:          s.adm.Draining(),
+		RequestsTotal:        s.requestsTotal.Load(),
+		RequestsOK:           s.requestsOK.Load(),
+		RequestsFailed:       s.requestsFailed.Load(),
+		ReportCacheHits:      hits,
+		ReportCacheMisses:    misses,
+		ReportCacheCoalesced: coalesced,
+		Inflight:             inflight,
+		Queued:               queued,
+		RejectedFull:         full,
+		RejectedTimeout:      timeout,
+		RejectedDraining:     draining,
+		SessionsResident:     s.pool.Len(),
+		SessionEvictions:     evictions,
+		PressureEvents:       s.pressureEvents.Load(),
+		Draining:             s.adm.Draining(),
 	}
 	w.Header().Set("Content-Type", "application/json")
 	WriteCacheStatsJSON(w, snap)

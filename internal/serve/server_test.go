@@ -116,8 +116,69 @@ func TestServerCoalescesConcurrentRequests(t *testing.T) {
 			t.Fatalf("client %d got different bytes", g)
 		}
 	}
-	if misses := srv.reportMisses.Load(); misses != 1 {
-		t.Fatalf("report-cache misses = %d, want 1 (all clients coalesced)", misses)
+	if hits, misses, coalesced := srv.reportCounts.Load(); misses != 1 || hits+coalesced != clients-1 {
+		t.Fatalf("report cache: hits %d, misses %d, coalesced %d; want 1 miss and %d others", hits, misses, coalesced, clients-1)
+	}
+}
+
+// TestServerReportCacheCountsCoalesced: a request parked on an in-flight
+// identical render counts as coalesced, never as a hit. The only
+// admission slot is held so the first request's render stays in flight
+// until the second has claimed it.
+func TestServerReportCacheCountsCoalesced(t *testing.T) {
+	srv, ts := newTestServer(t, Config{MaxInflight: 1})
+	held, err := srv.adm.Acquire(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var releaseOnce sync.Once
+	release := func() { releaseOnce.Do(held) }
+	t.Cleanup(release) // before the server's cleanup, which waits on requests
+	req := ReportRequest{Branches: 15000, Only: []string{"fig2"}, NoTimings: true}
+	responses := make([][]byte, 2)
+	errs := make([]error, 2)
+	var wg sync.WaitGroup
+	send := func(i int) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			responses[i], _, errs[i] = postReport(t, ts.URL, req)
+		}()
+	}
+	waitFor := func(what string, cond func() bool) {
+		t.Helper()
+		for deadline := time.Now().Add(time.Minute); !cond(); time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("timed out waiting for %s", what)
+			}
+		}
+	}
+	send(0)
+	waitFor("the first render to queue", func() bool { _, q := srv.adm.Gauges(); return q == 1 })
+	send(1)
+	waitFor("the second request to park", func() bool { _, _, co := srv.reportCounts.Load(); return co == 1 })
+	release()
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("request %d: %v", i, err)
+		}
+	}
+	if !bytes.Equal(responses[0], responses[1]) {
+		t.Fatal("coalesced request got different bytes")
+	}
+	resp, err := http.Get(ts.URL + "/v1/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var snap CacheStatsJSON
+	if err := json.NewDecoder(resp.Body).Decode(&snap); err != nil {
+		t.Fatal(err)
+	}
+	if got := snap.Server; got.ReportCacheMisses != 1 || got.ReportCacheCoalesced != 1 || got.ReportCacheHits != 0 {
+		t.Fatalf("report cache: hits %d, misses %d, coalesced %d; want 0, 1, 1",
+			got.ReportCacheHits, got.ReportCacheMisses, got.ReportCacheCoalesced)
 	}
 }
 
@@ -133,7 +194,7 @@ func TestServerTimingRequestsBypassCache(t *testing.T) {
 			t.Fatalf("request %d with timings served from the report cache", i)
 		}
 	}
-	if hits := srv.reportHits.Load(); hits != 0 {
+	if hits, _, _ := srv.reportCounts.Load(); hits != 0 {
 		t.Fatalf("report-cache hits = %d for timing requests, want 0", hits)
 	}
 }
@@ -278,10 +339,13 @@ func TestServerAdmissionSheds(t *testing.T) {
 	}
 
 	// Occupy the only slot.
-	release, err := srv.adm.Acquire(context.Background())
+	held, err := srv.adm.Acquire(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
+	var releaseOnce sync.Once
+	release := func() { releaseOnce.Do(held) }
+	t.Cleanup(release) // before the server's cleanup, which waits on requests
 	defer release()
 
 	// A fresh build has nowhere to go: 429.

@@ -65,15 +65,18 @@ type ServerStatsJSON struct {
 	RequestsFailed    uint64 `json:"requests_failed"`
 	ReportCacheHits   uint64 `json:"report_cache_hits"`
 	ReportCacheMisses uint64 `json:"report_cache_misses"`
-	Inflight          int64  `json:"inflight"`
-	Queued            int64  `json:"queued"`
-	RejectedFull      uint64 `json:"rejected_queue_full"`
-	RejectedTimeout   uint64 `json:"rejected_queue_timeout"`
-	RejectedDraining  uint64 `json:"rejected_draining"`
-	SessionsResident  int    `json:"sessions_resident"`
-	SessionEvictions  uint64 `json:"session_evictions"`
-	PressureEvents    uint64 `json:"memory_pressure_events"`
-	Draining          bool   `json:"draining"`
+	// ReportCacheCoalesced counts requests that waited on an in-flight
+	// identical render; ReportCacheHits counts only finished renders.
+	ReportCacheCoalesced uint64 `json:"report_cache_coalesced"`
+	Inflight             int64  `json:"inflight"`
+	Queued               int64  `json:"queued"`
+	RejectedFull         uint64 `json:"rejected_queue_full"`
+	RejectedTimeout      uint64 `json:"rejected_queue_timeout"`
+	RejectedDraining     uint64 `json:"rejected_draining"`
+	SessionsResident     int    `json:"sessions_resident"`
+	SessionEvictions     uint64 `json:"session_evictions"`
+	PressureEvents       uint64 `json:"memory_pressure_events"`
+	Draining             bool   `json:"draining"`
 }
 
 // SnapshotCacheStats assembles the uniform snapshot from the process-wide

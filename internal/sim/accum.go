@@ -62,6 +62,21 @@ func (a *bucketAccum) add(bucket uint64, incorrect bool) {
 	a.sparse.Add(bucket, incorrect)
 }
 
+// snapshot returns the counts so far as a fresh map and leaves the
+// accumulator running.
+func (a *bucketAccum) snapshot() analysis.BucketStats {
+	bs := make(analysis.BucketStats, len(a.sparse)+len(a.touched))
+	for b, t := range a.sparse {
+		c := *t
+		bs[b] = &c
+	}
+	for _, b := range a.touched {
+		c := a.dense[b]
+		bs[uint64(b)] = &c
+	}
+	return bs
+}
+
 // stats folds the dense array into the sparse map and returns it. The
 // accumulator must not be used afterwards. Occupied dense buckets share one
 // backing block instead of one heap object each; a wide CIR accumulator has

@@ -251,7 +251,11 @@ func RunSuiteAnnotated(cfg SuiteConfig, predKey string, newPred func() predictor
 		return RunSuiteBatch(cfg, newPred, newMechs)
 	}
 	if cfg.SegmentBranches > 0 {
-		return runSuiteStreaming(cfg, predKey, newPred, newMechs)
+		rs, err := runSuiteStreaming(cfg, []uint64{cfg.Branches}, predKey, newPred, newMechs)
+		if err != nil {
+			return nil, err
+		}
+		return rs[0], nil
 	}
 	specs := cfg.specs()
 	perSpec := make([][]Result, len(specs))

@@ -3,6 +3,8 @@ package sim
 import (
 	"encoding/binary"
 	"fmt"
+	"strconv"
+	"strings"
 
 	"branchconf/internal/artifact"
 	"branchconf/internal/workload"
@@ -59,31 +61,51 @@ func UnmarshalCheckpoint(data []byte) (Checkpoint, error) {
 }
 
 // Segment-indexed artifact keys. A streaming unit's per-segment payloads
-// reuse the monolithic key grammar with the segment size and index (or the
-// boundary branch position, for checkpoints) appended, so a segmented run
-// never aliases a monolithic artifact and two segment sizes never alias
-// each other.
+// reuse the monolithic key grammar with the unit's segment grid and the
+// segment index (or the boundary branch position, for checkpoints)
+// appended, so a segmented run never aliases a monolithic artifact and two
+// grids never alias each other.
+
+// segGridScheme versions the grid part of segment keys. Scheme 2 cuts the
+// fixed-size grid at every horizon of a one-walk sweep; stores written
+// under scheme 1 (no cuts) miss once and rebuild.
+const segGridScheme = 2
+
+// segGrid names a unit's segment layout: the segment size plus the
+// horizons that cut it. Segment indices are only meaningful within one
+// grid, so every segment and checkpoint key carries it.
+func segGrid(segSize uint64, horizons []uint64) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "grid%d|segsz=%d|cuts=", segGridScheme, segSize)
+	for i, h := range horizons {
+		if i > 0 {
+			b.WriteByte(',')
+		}
+		b.WriteString(strconv.FormatUint(h, 10))
+	}
+	return b.String()
+}
 
 // annSegKey keys one segment's annotated stream.
-func annSegKey(spec workload.Spec, n uint64, predKey string, segSize uint64, seg int) string {
-	return fmt.Sprintf("ann|v%d|%s|n=%d|pred=%s|segsz=%d|seg=%d",
-		artifact.FormatVersion, spec.CacheKey(), n, predKey, segSize, seg)
+func annSegKey(spec workload.Spec, n uint64, predKey, grid string, seg int) string {
+	return fmt.Sprintf("ann|v%d|%s|n=%d|pred=%s|%s|seg=%d",
+		artifact.FormatVersion, spec.CacheKey(), n, predKey, grid, seg)
 }
 
 // bucketSegKey keys one segment's bucket stream for a geometry.
-func bucketSegKey(spec workload.Spec, n uint64, predKey, geom string, segSize uint64, seg int) string {
-	return fmt.Sprintf("bucket|v%d|%s|n=%d|pred=%s|geom=%s|segsz=%d|seg=%d",
-		artifact.FormatVersion, spec.CacheKey(), n, predKey, geom, segSize, seg)
+func bucketSegKey(spec workload.Spec, n uint64, predKey, geom, grid string, seg int) string {
+	return fmt.Sprintf("bucket|v%d|%s|n=%d|pred=%s|geom=%s|%s|seg=%d",
+		artifact.FormatVersion, spec.CacheKey(), n, predKey, geom, grid, seg)
 }
 
 // predCkptKey keys the predictor checkpoint at boundary branch position b.
-func predCkptKey(spec workload.Spec, n uint64, predKey string, segSize, b uint64) string {
-	return fmt.Sprintf("ckpt|v%d|%s|n=%d|pred=%s|segsz=%d|b=%d",
-		artifact.FormatVersion, spec.CacheKey(), n, predKey, segSize, b)
+func predCkptKey(spec workload.Spec, n uint64, predKey, grid string, b uint64) string {
+	return fmt.Sprintf("ckpt|v%d|%s|n=%d|pred=%s|%s|b=%d",
+		artifact.FormatVersion, spec.CacheKey(), n, predKey, grid, b)
 }
 
 // geomCkptKey keys a geometry's factor-walk checkpoint at boundary b.
-func geomCkptKey(spec workload.Spec, n uint64, predKey, geom string, segSize, b uint64) string {
-	return fmt.Sprintf("ckpt|v%d|%s|n=%d|pred=%s|geom=%s|segsz=%d|b=%d",
-		artifact.FormatVersion, spec.CacheKey(), n, predKey, geom, segSize, b)
+func geomCkptKey(spec workload.Spec, n uint64, predKey, geom, grid string, b uint64) string {
+	return fmt.Sprintf("ckpt|v%d|%s|n=%d|pred=%s|geom=%s|%s|b=%d",
+		artifact.FormatVersion, spec.CacheKey(), n, predKey, geom, grid, b)
 }

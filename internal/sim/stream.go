@@ -3,6 +3,7 @@ package sim
 import (
 	"context"
 	"errors"
+	"fmt"
 	"io"
 	"runtime/pprof"
 	"sync"
@@ -46,6 +47,14 @@ import (
 // no valid boundary checkpoint to revive it, the unit retries once with
 // every disk read skipped (forceLive), rebuilding — and re-publishing —
 // everything from the start of the trace.
+//
+// A unit may also carry several horizons (RunSuiteHorizons): the segment
+// grid is cut at each one, and at each cut the consumer snapshots every
+// geometry lane's merged tally, every replay accumulator, and the running
+// branch and miss counts, then keeps walking. A shorter horizon's trace is
+// an exact prefix of the longer one's, and tallies are exact integer sums,
+// so each snapshot equals an independent pass at that horizon while the
+// prefix is walked once.
 
 // streamInflightSegments is the bounded channel capacity between the
 // annotate producer and the tally/replay consumer. With the segment the
@@ -123,15 +132,40 @@ type segMsg struct {
 	bytes int64 // tracked in-flight footprint
 }
 
-// runSuiteStreaming is the segmented form of RunSuiteAnnotated, dispatched
-// when cfg.SegmentBranches > 0. Fan-out is unit-major — one slot-bounded
-// goroutine per benchmark, each running its own producer/consumer pipeline —
-// rather than the monolithic engine's mechanism-major chunking: a streaming
-// unit's stages are already overlapped internally, and unit-major keeps
-// every unit's resident segments independently bounded.
-func runSuiteStreaming(cfg SuiteConfig, predKey string, newPred func() predictor.Predictor, newMechs []func() core.Mechanism) ([]SuiteResult, error) {
+// RunSuiteHorizons runs the suite at each of several ascending branch
+// horizons in one streaming walk per benchmark: result[h] equals
+// RunSuiteAnnotated with Branches = horizons[h] (cfg.Branches is ignored),
+// but every benchmark's trace is generated, annotated and tallied once, up
+// to the last horizon. Segments are cfg.SegmentBranches long, or one per
+// horizon span when it is zero, so a sweep at a budget that would not
+// otherwise stream still walks once.
+func RunSuiteHorizons(cfg SuiteConfig, horizons []uint64, predKey string, newPred func() predictor.Predictor, newMechs []func() core.Mechanism) ([][]SuiteResult, error) {
+	if len(horizons) == 0 || predKey == "" {
+		return nil, errors.New("sim: a horizon sweep needs at least one horizon and a predictor key")
+	}
+	for i, h := range horizons {
+		if h == 0 || i > 0 && h < horizons[i-1] {
+			return nil, fmt.Errorf("sim: horizons %v are not positive and ascending", horizons)
+		}
+	}
+	cfg.Branches = horizons[len(horizons)-1]
+	if cfg.SegmentBranches == 0 {
+		cfg.SegmentBranches = cfg.Branches
+	}
+	return runSuiteStreaming(cfg, horizons, predKey, newPred, newMechs)
+}
+
+// runSuiteStreaming is the segmented engine behind RunSuiteAnnotated
+// (dispatched when cfg.SegmentBranches > 0, with the one horizon
+// cfg.Branches) and RunSuiteHorizons; results are indexed [horizon][mech].
+// Fan-out is unit-major — one slot-bounded goroutine per benchmark, each
+// running its own producer/consumer pipeline — rather than the monolithic
+// engine's mechanism-major chunking: a streaming unit's stages are already
+// overlapped internally, and unit-major keeps every unit's resident
+// segments independently bounded.
+func runSuiteStreaming(cfg SuiteConfig, horizons []uint64, predKey string, newPred func() predictor.Predictor, newMechs []func() core.Mechanism) ([][]SuiteResult, error) {
 	specs := cfg.specs()
-	perSpec := make([][]Result, len(specs))
+	perSpec := make([][][]Result, len(specs))
 	errs := make([]error, len(specs))
 	var wg sync.WaitGroup
 	for i, spec := range specs {
@@ -141,31 +175,34 @@ func runSuiteStreaming(cfg SuiteConfig, predKey string, newPred func() predictor
 			defer wg.Done()
 			release := acquireSlot()
 			defer release()
-			perSpec[i], errs[i] = runStreamUnit(cfg, spec, predKey, newPred, newMechs)
+			perSpec[i], errs[i] = runStreamUnit(cfg, spec, horizons, predKey, newPred, newMechs)
 		}()
 	}
 	wg.Wait()
 	if err := errors.Join(errs...); err != nil {
 		return nil, err
 	}
-	out := make([]SuiteResult, len(newMechs))
-	for j := range newMechs {
-		runs := make([]Result, len(specs))
-		for i := range specs {
-			runs[i] = perSpec[i][j]
+	out := make([][]SuiteResult, len(horizons))
+	for h := range horizons {
+		out[h] = make([]SuiteResult, len(newMechs))
+		for j := range newMechs {
+			runs := make([]Result, len(specs))
+			for i := range specs {
+				runs[i] = perSpec[i][h][j]
+			}
+			out[h][j] = SuiteResult{Runs: runs}
 		}
-		out[j] = SuiteResult{Runs: runs}
 	}
 	return out, nil
 }
 
 // runStreamUnit runs one streaming unit, retrying once with all disk reads
 // skipped when partially warm artifacts leave the walk unresumable.
-func runStreamUnit(cfg SuiteConfig, spec workload.Spec, predKey string, newPred func() predictor.Predictor, newMechs []func() core.Mechanism) ([]Result, error) {
-	rs, err := streamUnitOnce(cfg, spec, predKey, newPred, newMechs, false)
+func runStreamUnit(cfg SuiteConfig, spec workload.Spec, horizons []uint64, predKey string, newPred func() predictor.Predictor, newMechs []func() core.Mechanism) ([][]Result, error) {
+	rs, err := streamUnitOnce(cfg, spec, horizons, predKey, newPred, newMechs, false)
 	if errors.Is(err, errStaleState) {
 		streamRetries.Add(1)
-		rs, err = streamUnitOnce(cfg, spec, predKey, newPred, newMechs, true)
+		rs, err = streamUnitOnce(cfg, spec, horizons, predKey, newPred, newMechs, true)
 	}
 	return rs, err
 }
@@ -185,16 +222,18 @@ type geomLane struct {
 	counts []uint64      // running fused histogram across live segments (nil until first)
 }
 
-// streamUnitOnce runs one benchmark's bounded pipeline. forceLive skips
-// every artifact read — walks rebuild from the start of the trace — while
-// still publishing fresh payloads, healing whatever gap aborted the first
-// pass.
-func streamUnitOnce(cfg SuiteConfig, spec workload.Spec, predKey string, newPred func() predictor.Predictor, newMechs []func() core.Mechanism, forceLive bool) ([]Result, error) {
-	budget := cfg.Branches
+// streamUnitOnce runs one benchmark's bounded pipeline, returning results
+// per horizon. forceLive skips every artifact read — walks rebuild from the
+// start of the trace — while still publishing fresh payloads, healing
+// whatever gap aborted the first pass.
+func streamUnitOnce(cfg SuiteConfig, spec workload.Spec, horizons []uint64, predKey string, newPred func() predictor.Predictor, newMechs []func() core.Mechanism, forceLive bool) ([][]Result, error) {
+	budget := horizons[len(horizons)-1]
 	if budget == 0 {
 		budget = spec.DefaultBranches
+		horizons = []uint64{budget}
 	}
 	segSize := cfg.SegmentBranches
+	grid := segGrid(segSize, horizons)
 
 	mechs := make([]core.Mechanism, len(newMechs))
 	for j := range newMechs {
@@ -212,8 +251,24 @@ func streamUnitOnce(cfg SuiteConfig, spec workload.Spec, predKey string, newPred
 	if needsState && !wantState {
 		// The predictor cannot annotate the state a mechanism reads; the
 		// whole unit falls back to the interleaved single-pass engine, which
-		// streams record-by-record and is bounded-memory by construction.
-		return runInterleavedUnit(cfg, spec, newPred, mechs)
+		// streams record-by-record and is bounded-memory by construction,
+		// one pass per horizon.
+		out := make([][]Result, len(horizons))
+		for h, n := range horizons {
+			hcfg := cfg
+			hcfg.Branches = n
+			if h > 0 {
+				for j := range newMechs {
+					mechs[j] = newMechs[j]()
+				}
+			}
+			rs, err := runInterleavedUnit(hcfg, spec, newPred, mechs)
+			if err != nil {
+				return nil, err
+			}
+			out[h] = rs
+		}
+		return out, nil
 	}
 
 	// Partition mechanisms: resumable factorable geometries tally per
@@ -221,8 +276,8 @@ func streamUnitOnce(cfg SuiteConfig, spec workload.Spec, predKey string, newPred
 	// non-factorable, or all of them under NoTally) replays per segment
 	// with accumulators persisting across segments.
 	var lanes []*geomLane
-	laneByGeom := map[string]*geomLane{}
-	laneOf := make([]*geomLane, len(mechs))
+	laneByGeom := map[string]int{}
+	laneOf := make([]int, len(mechs)) // index into lanes; -1 when replayed
 	var replayMechs []core.Mechanism
 	var replayAt []int
 	for j, m := range mechs {
@@ -230,14 +285,15 @@ func streamUnitOnce(cfg SuiteConfig, spec workload.Spec, predKey string, newPred
 		_, sc := m.(core.StateCoupled)
 		if !cfg.NoTally && resumable && !sc {
 			key := fm.GeometryKey()
-			g := laneByGeom[key]
-			if g == nil {
-				g = &geomLane{fm: fm, geom: key, width: fm.BucketWidth(), merger: analysis.NewTallyMerger()}
-				laneByGeom[key] = g
-				lanes = append(lanes, g)
+			i, ok := laneByGeom[key]
+			if !ok {
+				i = len(lanes)
+				laneByGeom[key] = i
+				lanes = append(lanes, &geomLane{fm: fm, geom: key, width: fm.BucketWidth(), merger: analysis.NewTallyMerger()})
 			}
-			laneOf[j] = g
+			laneOf[j] = i
 		} else {
+			laneOf[j] = -1
 			replayMechs = append(replayMechs, m)
 			replayAt = append(replayAt, j)
 		}
@@ -261,11 +317,29 @@ func streamUnitOnce(cfg SuiteConfig, spec workload.Spec, predKey string, newPred
 	go func() {
 		defer prodWG.Done()
 		defer close(ch)
-		streamProduce(cfg, spec, predKey, pred, budget, segSize, wantState, forceLive, ch, stop, freeBufs, freeAnns)
+		streamProduce(cfg, spec, predKey, pred, budget, segSize, horizons, grid, wantState, forceLive, ch, stop, freeBufs, freeAnns)
 	}()
 
 	var err error
 	var pos, cum uint64
+	// cut freezes the unit at the current position. Until the final cut it
+	// copies the lane and accumulator state, which keeps running.
+	cut := func(final bool) *unitCut {
+		c := &unitCut{pos: pos, cum: cum, lanes: make([]laneCut, len(lanes)), replay: make([]analysis.BucketStats, len(accums))}
+		for i, g := range lanes {
+			c.lanes[i] = g.cut(final)
+		}
+		for x, acc := range accums {
+			if final {
+				c.replay[x] = acc.stats()
+			} else {
+				c.replay[x] = acc.snapshot()
+			}
+		}
+		return c
+	}
+	cuts := make([]*unitCut, len(horizons))
+	next := 0                   // first horizon not yet cut
 	var scratch *trace.FlatView // one decode buffer for every segment
 consume:
 	for msg := range ch {
@@ -277,7 +351,7 @@ consume:
 		scratch = flat
 		segN := uint64(flat.Len())
 		for _, g := range lanes {
-			if e := consumeSegGeom(g, spec, predKey, budget, segSize, flat, msg, cum, forceLive); e != nil {
+			if e := consumeSegGeom(g, spec, predKey, budget, grid, flat, msg, cum, forceLive); e != nil {
 				err = e
 				untrackInflight(msg.bytes)
 				break consume
@@ -294,6 +368,14 @@ consume:
 		}
 		cum += msg.ann.misses
 		pos += segN
+		// The grid is cut at every horizon, so a horizon short of the
+		// budget is reached exactly at a segment's end.
+		if last := len(horizons) - 1; next < last && horizons[next] <= pos {
+			c := cut(false)
+			for ; next < last && horizons[next] <= pos; next++ {
+				cuts[next] = c
+			}
+		}
 		untrackInflight(msg.bytes)
 		select {
 		case freeBufs <- msg.buf:
@@ -310,35 +392,98 @@ consume:
 		return nil, err
 	}
 
-	// Fold each geometry's running fused histogram into its merger (exact
-	// integer sums, so deferring past the warm segments' merges is order-
-	// independent).
-	for _, g := range lanes {
-		if g.counts != nil {
-			g.merger.Merge(countsToStats64(g.counts))
-			g.counts = nil
-		}
+	// The last horizon, and any the trace ended before reaching, read the
+	// walk's end state, as an independent pass at that horizon would.
+	c := cut(true)
+	for ; next < len(horizons); next++ {
+		cuts[next] = c
 	}
-	results := make([]Result, len(mechs))
-	for j := range mechs {
-		if g := laneOf[j]; g != nil {
-			results[j] = Result{
-				Benchmark: spec.Name,
-				Branches:  pos,
-				Misses:    cum,
-				Buckets:   g.merger.Stats(),
+	// Lane cuts expand into bucket maps only now, after the walk, so the
+	// maps never share the heap with the walk's segment buffers.
+	out := make([][]Result, len(horizons))
+	for h, c := range cuts {
+		if h > 0 && c == cuts[h-1] {
+			out[h] = out[h-1]
+			continue
+		}
+		stats := make([]analysis.BucketStats, len(lanes))
+		for i, lc := range c.lanes {
+			stats[i] = lc.stats()
+		}
+		rs := make([]Result, len(mechs))
+		for j := range mechs {
+			rs[j] = Result{Benchmark: spec.Name, Branches: c.pos, Misses: c.cum}
+			if i := laneOf[j]; i >= 0 {
+				rs[j].Buckets = stats[i]
 			}
 		}
+		for x, j := range replayAt {
+			rs[j].Buckets = c.replay[x]
+		}
+		out[h] = rs
 	}
-	for x, j := range replayAt {
-		results[j] = Result{
-			Benchmark: spec.Name,
-			Branches:  pos,
-			Misses:    cum,
-			Buckets:   accums[x].stats(),
+	return out, nil
+}
+
+// unitCut is a streaming unit frozen at a horizon: the branch and miss
+// counts there, each geometry lane's tally (index-aligned with the unit's
+// lanes), and each replay accumulator's statistics.
+type unitCut struct {
+	pos, cum uint64
+	lanes    []laneCut
+	replay   []analysis.BucketStats
+}
+
+// laneCut is a geometry lane's tally frozen at a horizon: the merged warm
+// and wide segments plus the running fused histogram's occupied buckets as
+// (bucket, events, misses) triples, a compact form that costs neither a
+// copy of the whole 2<<width histogram nor a map entry per bucket while
+// the walk goes on.
+type laneCut struct {
+	merged analysis.BucketStats
+	fused  []uint64
+}
+
+// cut freezes the lane's tally through the walk's current position. Unless
+// final, it copies the merged statistics, which keep accumulating.
+func (g *geomLane) cut(final bool) laneCut {
+	occupied := 0
+	for b := 0; b < len(g.counts); b += 2 {
+		if g.counts[b] != 0 {
+			occupied++
 		}
 	}
-	return results, nil
+	c := laneCut{merged: g.merger.Stats(), fused: make([]uint64, 0, 3*occupied)}
+	for b := 0; b < len(g.counts); b += 2 {
+		if g.counts[b] != 0 {
+			c.fused = append(c.fused, uint64(b>>1), g.counts[b], g.counts[b+1])
+		}
+	}
+	if !final && len(c.merged) > 0 {
+		m := analysis.NewTallyMerger()
+		m.Merge(c.merged)
+		c.merged = m.Stats()
+	}
+	return c
+}
+
+// stats expands the cut into bucket statistics (exact integer sums, so the
+// merge order is immaterial).
+func (c laneCut) stats() analysis.BucketStats {
+	n := len(c.fused) / 3
+	bs := make(analysis.BucketStats, n)
+	block := make([]analysis.Tally, n)
+	for i := range block {
+		block[i] = analysis.Tally{Events: c.fused[3*i+1], Misses: c.fused[3*i+2]}
+		bs[c.fused[3*i]] = &block[i]
+	}
+	if len(c.merged) == 0 {
+		return bs
+	}
+	m := analysis.NewTallyMerger()
+	m.Merge(c.merged)
+	m.Merge(bs)
+	return m.Stats()
 }
 
 // streamProduce is the producer half of a unit's pipeline: it materializes
@@ -347,7 +492,7 @@ consume:
 // boundary checkpoint when a warm segment left it stale. Each prepared
 // segment is handed over ch; a closed stop channel (consumer error) ends
 // production.
-func streamProduce(cfg SuiteConfig, spec workload.Spec, predKey string, pred predictor.Predictor, budget, segSize uint64, wantState, forceLive bool, ch chan<- segMsg, stop <-chan struct{}, freeBufs chan *trace.ReplayBuffer, freeAnns chan *AnnotatedStream) {
+func streamProduce(cfg SuiteConfig, spec workload.Spec, predKey string, pred predictor.Predictor, budget, segSize uint64, horizons []uint64, grid string, wantState, forceLive bool, ch chan<- segMsg, stop <-chan struct{}, freeBufs chan *trace.ReplayBuffer, freeAnns chan *AnnotatedStream) {
 	fail := func(err error) {
 		select {
 		case ch <- segMsg{err: err}:
@@ -359,7 +504,7 @@ func streamProduce(cfg SuiteConfig, spec workload.Spec, predKey string, pred pre
 		fail(err)
 		return
 	}
-	segr := trace.NewSegmenter(src, int(segSize))
+	segr := trace.NewSegmenter(src, int(segSize), horizons...)
 	ckpred, canCkpt := pred.(predictor.Checkpointer)
 	predValid := true // pred is trained exactly through the current boundary
 	var pos, cum uint64
@@ -380,7 +525,7 @@ func streamProduce(cfg SuiteConfig, spec workload.Spec, predKey string, pred pre
 		heapwatch.Sample("stream-materialize")
 		var ann *AnnotatedStream
 		if !forceLive {
-			ann = annSegFromDisk(spec, budget, predKey, segSize, idx, buf.Len(), wantState)
+			ann = annSegFromDisk(spec, budget, predKey, grid, idx, buf.Len(), wantState)
 		}
 		if ann != nil {
 			// The predictor did not observe this segment; it can only
@@ -389,7 +534,7 @@ func streamProduce(cfg SuiteConfig, spec workload.Spec, predKey string, pred pre
 			streamSegWarm.Add(1)
 		} else {
 			if !predValid {
-				if !canCkpt || !restorePredCkpt(ckpred, spec, budget, predKey, segSize, pos, cum) {
+				if !canCkpt || !restorePredCkpt(ckpred, spec, budget, predKey, grid, pos, cum) {
 					fail(errStaleState)
 					return
 				}
@@ -405,13 +550,13 @@ func streamProduce(cfg SuiteConfig, spec workload.Spec, predKey string, pred pre
 				ann = annotateBufferInto(buf, pred, spare)
 			})
 			heapwatch.Sample("stream-annotate")
-			putArtifact(artifact.KindAnnotatedStream, annSegKey(spec, budget, predKey, segSize, idx), func() []byte { return marshalAnnotatedStream(ann) })
+			putArtifact(artifact.KindAnnotatedStream, annSegKey(spec, budget, predKey, grid, idx), func() []byte { return marshalAnnotatedStream(ann) })
 			streamSegLive.Add(1)
 		}
 		cum += ann.misses
 		pos += uint64(buf.Len())
 		if predValid && canCkpt && pos < budget {
-			putArtifact(artifact.KindCheckpoint, predCkptKey(spec, budget, predKey, segSize, pos), func() []byte {
+			putArtifact(artifact.KindCheckpoint, predCkptKey(spec, budget, predKey, grid, pos), func() []byte {
 				return MarshalCheckpoint(Checkpoint{Branch: pos, Misses: cum, State: ckpred.MarshalState()})
 			})
 		}
@@ -432,10 +577,10 @@ func streamProduce(cfg SuiteConfig, spec workload.Spec, predKey string, pred pre
 // checkpoint if a warm segment left it stale. cumStart is the unit's
 // cumulative miss count at the segment's first branch, cross-checked
 // against checkpoints and folded into the one written at the exit boundary.
-func consumeSegGeom(g *geomLane, spec workload.Spec, predKey string, budget, segSize uint64, flat *trace.FlatView, msg segMsg, cumStart uint64, forceLive bool) error {
+func consumeSegGeom(g *geomLane, spec workload.Spec, predKey string, budget uint64, grid string, flat *trace.FlatView, msg segMsg, cumStart uint64, forceLive bool) error {
 	segN := flat.Len()
 	if !forceLive {
-		if bs := bucketSegFromDisk(spec, budget, predKey, g.geom, segSize, msg.idx, msg.ann); bs != nil {
+		if bs := bucketSegFromDisk(spec, budget, predKey, g.geom, grid, msg.idx, msg.ann); bs != nil {
 			g.merger.Merge(bs.Stats())
 			g.st = nil // the walk state did not observe this segment
 			streamSegWarm.Add(1)
@@ -446,7 +591,7 @@ func consumeSegGeom(g *geomLane, spec workload.Spec, predKey string, budget, seg
 		if msg.start == 0 {
 			g.st = g.fm.NewFactorState()
 		} else {
-			st, ok := restoreGeomCkpt(g.fm, spec, budget, predKey, g.geom, segSize, msg.start, cumStart)
+			st, ok := restoreGeomCkpt(g.fm, spec, budget, predKey, g.geom, grid, msg.start, cumStart)
 			if !ok {
 				return errStaleState
 			}
@@ -490,12 +635,12 @@ func consumeSegGeom(g *geomLane, spec workload.Spec, predKey string, budget, seg
 	}
 	end := msg.start + uint64(segN)
 	g.stAt = end
-	putArtifact(artifact.KindBucketStream, bucketSegKey(spec, budget, predKey, g.geom, segSize, msg.idx), func() []byte {
+	putArtifact(artifact.KindBucketStream, bucketSegKey(spec, budget, predKey, g.geom, grid, msg.idx), func() []byte {
 		bs := &BucketStream{lane: lane, n: segN, misses: msg.ann.misses, stats: stats}
 		return marshalBucketStream(bs)
 	})
 	if end < budget {
-		putArtifact(artifact.KindCheckpoint, geomCkptKey(spec, budget, predKey, g.geom, segSize, end), func() []byte {
+		putArtifact(artifact.KindCheckpoint, geomCkptKey(spec, budget, predKey, g.geom, grid, end), func() []byte {
 			return MarshalCheckpoint(Checkpoint{Branch: end, Misses: cumStart + msg.ann.misses, State: g.st.MarshalState()})
 		})
 	}
@@ -514,12 +659,12 @@ func putArtifact(kind uint16, key string, payload func() []byte) {
 // annSegFromDisk loads and validates one segment's annotated stream from
 // the artifact tier: exact segment length and the same state-lane presence
 // the live walk would produce. Anything else is dropped as corruption.
-func annSegFromDisk(spec workload.Spec, budget uint64, predKey string, segSize uint64, idx, segN int, wantState bool) *AnnotatedStream {
+func annSegFromDisk(spec workload.Spec, budget uint64, predKey, grid string, idx, segN int, wantState bool) *AnnotatedStream {
 	s := artifact.Default()
 	if s == nil {
 		return nil
 	}
-	key := annSegKey(spec, budget, predKey, segSize, idx)
+	key := annSegKey(spec, budget, predKey, grid, idx)
 	payload, ok := s.Get(artifact.KindAnnotatedStream, key)
 	if !ok {
 		return nil
@@ -535,12 +680,12 @@ func annSegFromDisk(spec workload.Spec, budget uint64, predKey string, segSize u
 // bucketSegFromDisk loads and validates one segment's bucket stream for a
 // geometry, cross-checked against the segment's annotated stream exactly
 // like the monolithic disk path.
-func bucketSegFromDisk(spec workload.Spec, budget uint64, predKey, geom string, segSize uint64, idx int, ann *AnnotatedStream) *BucketStream {
+func bucketSegFromDisk(spec workload.Spec, budget uint64, predKey, geom, grid string, idx int, ann *AnnotatedStream) *BucketStream {
 	s := artifact.Default()
 	if s == nil {
 		return nil
 	}
-	key := bucketSegKey(spec, budget, predKey, geom, segSize, idx)
+	key := bucketSegKey(spec, budget, predKey, geom, grid, idx)
 	payload, ok := s.Get(artifact.KindBucketStream, key)
 	if !ok {
 		return nil
@@ -557,12 +702,12 @@ func bucketSegFromDisk(spec workload.Spec, budget uint64, predKey, geom string, 
 // branch position pos, validating the checkpoint's position and cumulative
 // miss count against the unit's own running totals before handing the state
 // to the predictor codec. Any mismatch drops the checkpoint.
-func restorePredCkpt(ck predictor.Checkpointer, spec workload.Spec, budget uint64, predKey string, segSize, pos, cum uint64) bool {
+func restorePredCkpt(ck predictor.Checkpointer, spec workload.Spec, budget uint64, predKey, grid string, pos, cum uint64) bool {
 	s := artifact.Default()
 	if s == nil {
 		return false
 	}
-	key := predCkptKey(spec, budget, predKey, segSize, pos)
+	key := predCkptKey(spec, budget, predKey, grid, pos)
 	payload, ok := s.Get(artifact.KindCheckpoint, key)
 	if !ok {
 		return false
@@ -577,12 +722,12 @@ func restorePredCkpt(ck predictor.Checkpointer, spec workload.Spec, budget uint6
 
 // restoreGeomCkpt revives one geometry's factor state from the boundary
 // checkpoint at branch position pos, with the same cross-checks.
-func restoreGeomCkpt(fm core.Resumable, spec workload.Spec, budget uint64, predKey, geom string, segSize, pos, cum uint64) (core.FactorState, bool) {
+func restoreGeomCkpt(fm core.Resumable, spec workload.Spec, budget uint64, predKey, geom, grid string, pos, cum uint64) (core.FactorState, bool) {
 	s := artifact.Default()
 	if s == nil {
 		return nil, false
 	}
-	key := geomCkptKey(spec, budget, predKey, geom, segSize, pos)
+	key := geomCkptKey(spec, budget, predKey, geom, grid, pos)
 	payload, ok := s.Get(artifact.KindCheckpoint, key)
 	if !ok {
 		return nil, false

@@ -69,7 +69,7 @@ func TestStreamingCheckpointResumeTagePerceptron(t *testing.T) {
 			// Kill/resume: segment 2's annotated stream is gone, so the run
 			// must restore the predictor checkpoint taken at branch 2*segSize
 			// and re-annotate only that segment.
-			s.Drop(artifact.KindAnnotatedStream, annSegKey(spec, n, predKey, segSize, 2))
+			s.Drop(artifact.KindAnnotatedStream, annSegKey(spec, n, predKey, segGrid(segSize, []uint64{n}), 2))
 			ResetStreamStats()
 			streamCkptRestores.Store(0)
 			resumed, err := RunSuiteAnnotated(cfg, predKey, newPred, mechs)

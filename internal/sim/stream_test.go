@@ -155,8 +155,8 @@ func TestStreamingWarmStart(t *testing.T) {
 	// the walk must resume both the predictor and that geometry's factor
 	// state from the checkpoints at the segment's entry boundary.
 	geom := core.PaperOneLevel(core.IndexPCxorBHR).GeometryKey()
-	s.Drop(artifact.KindAnnotatedStream, annSegKey(spec, n, predKey, segSize, 2))
-	s.Drop(artifact.KindBucketStream, bucketSegKey(spec, n, predKey, geom, segSize, 2))
+	s.Drop(artifact.KindAnnotatedStream, annSegKey(spec, n, predKey, segGrid(segSize, []uint64{n}), 2))
+	s.Drop(artifact.KindBucketStream, bucketSegKey(spec, n, predKey, geom, segGrid(segSize, []uint64{n}), 2))
 	ResetStreamStats()
 	streamCkptRestores.Store(0)
 	healed, err := RunSuiteAnnotated(cfg, predKey, newPred, mechs)
@@ -205,8 +205,8 @@ func TestStreamingForceLiveRetry(t *testing.T) {
 	// Remove segment 2's annotated stream and the predictor checkpoint at
 	// its entry boundary: segments 0-1 serve warm, segment 2 must be
 	// annotated live, and the predictor has nothing to resume from.
-	s.Drop(artifact.KindAnnotatedStream, annSegKey(spec, n, predKey, segSize, 2))
-	s.Drop(artifact.KindCheckpoint, predCkptKey(spec, n, predKey, segSize, 2*segSize))
+	s.Drop(artifact.KindAnnotatedStream, annSegKey(spec, n, predKey, segGrid(segSize, []uint64{n}), 2))
+	s.Drop(artifact.KindCheckpoint, predCkptKey(spec, n, predKey, segGrid(segSize, []uint64{n}), 2*segSize))
 	ResetStreamStats()
 	got, err := RunSuiteAnnotated(cfg, predKey, newPred, mechs)
 	if err != nil {

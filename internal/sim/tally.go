@@ -104,27 +104,6 @@ func countsToStats(counts []uint32) analysis.BucketStats {
 	return bs
 }
 
-// countsToStats64 is countsToStats for the streaming engine's per-geometry
-// running histogram, which accumulates across segments in uint64 so no
-// horizon can overflow it.
-func countsToStats64(counts []uint64) analysis.BucketStats {
-	occupied := 0
-	for b := 0; b < len(counts); b += 2 {
-		if counts[b] != 0 {
-			occupied++
-		}
-	}
-	bs := make(analysis.BucketStats, occupied)
-	block := make([]analysis.Tally, 0, occupied)
-	for b := 0; b < len(counts); b += 2 {
-		if counts[b] != 0 {
-			block = append(block, analysis.Tally{Events: counts[b], Misses: counts[b+1]})
-			bs[uint64(b>>1)] = &block[len(block)-1]
-		}
-	}
-	return bs
-}
-
 // tallyLane is the word-parallel tally kernel: it folds the packed bucket
 // lane against the packed mispredict bits into per-bucket tallies, loading
 // one lane word per PerWord() branches and one miss word per 64. The

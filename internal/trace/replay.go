@@ -45,10 +45,12 @@ func MaterializeInto(b *ReplayBuffer, src Source, limit int) (*ReplayBuffer, err
 	b.data = b.data[:0]
 	b.taken.Reset()
 	b.n = 0
-	if limit > 0 && cap(b.data) == 0 {
+	if limit > 0 && cap(b.data) < limit*4 {
 		// Reserve for typical 3-5 byte records up front: a bounded
 		// materialization otherwise pays a doubling chain of dead arrays
-		// roughly the size of the final buffer.
+		// roughly the size of the final buffer. A recycled buffer too small
+		// for this limit (it last held a short segment) is replaced the
+		// same way rather than grown through that chain.
 		b.data = make([]byte, 0, limit*4)
 	}
 	var prevPC uint64

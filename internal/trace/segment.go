@@ -18,19 +18,24 @@ import (
 type Segmenter struct {
 	src   Source
 	size  int
+	cuts  []uint64 // ascending extra boundaries not yet reached
+	pos   uint64   // records emitted so far
 	done  bool
 	spare *ReplayBuffer
 }
 
 // NewSegmenter returns a segmenter yielding buffers of exactly size records
-// (the final segment may be shorter). It panics on size < 1: the segment
-// size is structural configuration validated at the flag layer, so a bad
-// value here is a programming error.
-func NewSegmenter(src Source, size int) *Segmenter {
+// (the final segment may be shorter). Optional cuts (ascending, duplicates
+// allowed) add boundaries: segments then end at every multiple of size and
+// at every cut, so a walk can pause exactly at each cut without shifting
+// the fixed-size grid around it. It panics on size < 1: the segment size
+// is structural configuration validated at the flag layer, so a bad value
+// here is a programming error.
+func NewSegmenter(src Source, size int, cuts ...uint64) *Segmenter {
 	if size < 1 {
 		panic(fmt.Sprintf("trace: segment size %d out of range [1,∞)", size))
 	}
-	return &Segmenter{src: src, size: size}
+	return &Segmenter{src: src, size: size, cuts: cuts}
 }
 
 // Next materializes the next segment. It returns io.EOF once the source is
@@ -45,12 +50,20 @@ func (s *Segmenter) Next() (*ReplayBuffer, error) {
 	if into == nil {
 		into = &ReplayBuffer{}
 	}
-	buf, err := MaterializeInto(into, s.src, s.size)
+	want := uint64(s.size) - s.pos%uint64(s.size)
+	for len(s.cuts) > 0 && s.cuts[0] <= s.pos {
+		s.cuts = s.cuts[1:]
+	}
+	if len(s.cuts) > 0 && s.cuts[0]-s.pos < want {
+		want = s.cuts[0] - s.pos
+	}
+	buf, err := MaterializeInto(into, s.src, int(want))
 	if err != nil {
 		s.done = true
 		return nil, err
 	}
-	if buf.Len() < s.size {
+	s.pos += uint64(buf.Len())
+	if uint64(buf.Len()) < want {
 		s.done = true
 	}
 	if buf.Len() == 0 {

@@ -98,6 +98,73 @@ func TestSegmenterReassembles(t *testing.T) {
 	}
 }
 
+// TestSegmenterCuts: cuts split the fixed-size grid without
+// shifting it — segments end exactly at every multiple of the size and at
+// every cut (duplicates, cuts on a grid boundary and a cut at the end are
+// no-ops) — and the segments still reassemble the stream.
+func TestSegmenterCuts(t *testing.T) {
+	const n = 100
+	mono, err := Materialize(&segTestSource{n: n}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := collectAll(t, mono.Source())
+	seg := NewSegmenter(&segTestSource{n: n}, 30, 7, 7, 60, 75, n)
+	var ends []int
+	var got []Record
+	for {
+		buf, err := seg.Next()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		got = append(got, collectAll(t, buf.Source())...)
+		ends = append(ends, len(got))
+	}
+	if fmt.Sprint(ends) != "[7 30 60 75 90 100]" {
+		t.Fatalf("segment ends %v, want [7 30 60 75 90 100]", ends)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("record %d = %+v, want %+v", i, got[i], want[i])
+		}
+	}
+}
+
+// TestSegmenterRecycledShortBufferReserves: a buffer born on a short cut
+// segment and recycled into a full one gets the full segment's reservation
+// in one allocation, the same storage a fresh buffer would get, instead of
+// growing through an append chain whose dead arrays depend on which buffer
+// happened to carry the cut.
+func TestSegmenterRecycledShortBufferReserves(t *testing.T) {
+	tr := make(Trace, 1000)
+	for i := range tr {
+		pc := 0x40_0000 + uint64(i%50)*4 // 3-byte records, under the 4-byte reservation
+		tr[i] = Record{PC: pc, Target: pc + 32, Taken: i%2 == 0, Gap: uint32(2 + i%9)}
+	}
+	seg := NewSegmenter(tr.Source(), 1000, 5)
+	short, err := seg.Next()
+	if err != nil || short.Len() != 5 {
+		t.Fatalf("first segment: %d records, err %v; want the 5-record cut", short.Len(), err)
+	}
+	seg.Recycle(short)
+	full, err := seg.Next()
+	if err != nil || full.Len() != 995 {
+		t.Fatalf("second segment: %d records, err %v; want 995", full.Len(), err)
+	}
+	if full != short {
+		t.Fatal("recycled buffer was not reused")
+	}
+	if got, want := cap(full.data), 4*995; got != want {
+		t.Fatalf("recycled buffer capacity %d, want the %d-byte reservation", got, want)
+	}
+	if got := collectAll(t, full.Source()); len(got) != 995 || got[0] != tr[5] || got[994] != tr[999] {
+		t.Fatalf("recycled segment replays %d records, want records 5..999", len(got))
+	}
+}
+
 // TestSegmenterEmptySource: an empty stream yields io.EOF immediately, never
 // a zero-length segment.
 func TestSegmenterEmptySource(t *testing.T) {

@@ -66,7 +66,8 @@ func TestMaterializeDefaultBudget(t *testing.T) {
 }
 
 // TestMaterializeConcurrent hammers one key from many goroutines: exactly
-// one generation must happen and every caller must see the same buffer.
+// one generation must happen, every caller must see the same buffer, and
+// every other call counts once, as a hit or a coalesced wait.
 // Run under -race this also checks the memo's synchronisation.
 func TestMaterializeConcurrent(t *testing.T) {
 	ResetMaterializeCache()
@@ -97,12 +98,21 @@ func TestMaterializeConcurrent(t *testing.T) {
 			t.Fatal("concurrent callers saw different buffers")
 		}
 	}
-	hits, misses := MaterializeStats()
-	if misses != 1 {
-		t.Fatalf("misses = %d, want exactly one generation", misses)
+	// Every other caller either found the buffer built (a hit) or waited
+	// on the in-flight generation (coalesced); which, depends on timing.
+	rep := MaterializeReport()
+	if rep.Misses != 1 {
+		t.Fatalf("misses = %d, want exactly one generation", rep.Misses)
 	}
-	if hits != workers-1 {
-		t.Fatalf("hits = %d, want %d", hits, workers-1)
+	if rep.Hits+rep.Coalesced != workers-1 {
+		t.Fatalf("hits %d + coalesced %d, want %d", rep.Hits, rep.Coalesced, workers-1)
+	}
+	// Once the generation has finished, a call is a plain hit.
+	if _, err := Materialize(spec, 10000); err != nil {
+		t.Fatal(err)
+	}
+	if again := MaterializeReport(); again.Hits != rep.Hits+1 || again.Coalesced != rep.Coalesced {
+		t.Fatalf("post-generation call counted as %+v after %+v, want one more hit", again, rep)
 	}
 	if MaterializeFootprint() == 0 {
 		t.Fatal("footprint not accounted")
@@ -129,7 +139,7 @@ func TestMaterializeDistinctKeys(t *testing.T) {
 	if a == b {
 		t.Fatal("different seeds shared a cache entry")
 	}
-	if _, misses := MaterializeStats(); misses != 2 {
-		t.Fatalf("misses = %d, want 2", misses)
+	if rep := MaterializeReport(); rep.Misses != 2 {
+		t.Fatalf("misses = %d, want 2", rep.Misses)
 	}
 }
