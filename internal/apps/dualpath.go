@@ -9,9 +9,9 @@ package apps
 
 import (
 	"fmt"
-	"io"
 
 	"branchconf/internal/core"
+	"branchconf/internal/lane"
 	"branchconf/internal/predictor"
 	"branchconf/internal/trace"
 )
@@ -73,42 +73,39 @@ func (r DualPathResult) PenaltySavings() float64 {
 	return 1 - float64(r.DualCycles)/float64(r.BaseCycles)
 }
 
-// RunDualPath replays src through pred and est, forking a second path for
-// every low-confidence prediction when a thread slot is free. A covered
-// misprediction costs nothing beyond its fork; an uncovered one pays the
-// full penalty.
+// RunDualPath replays src through pred and est once to build the lanes
+// RunDualPathLanes consumes.
 func RunDualPath(src trace.Source, pred predictor.Predictor, est *core.Estimator, cfg DualPathConfig) (DualPathResult, error) {
+	l, err := lane.Capture(src, pred, est)
+	if err != nil {
+		return DualPathResult{}, err
+	}
+	return RunDualPathLanes(l, cfg)
+}
+
+// RunDualPathLanes forks a second path for every low-confidence branch of
+// the lanes when a thread slot is free. A covered misprediction costs
+// nothing beyond its fork; an uncovered one pays the full penalty.
+func RunDualPathLanes(l lane.Lanes, cfg DualPathConfig) (DualPathResult, error) {
 	if cfg.MaxThreads < 1 {
 		return DualPathResult{}, fmt.Errorf("apps: MaxThreads must be >= 1, got %d", cfg.MaxThreads)
 	}
 	var res DualPathResult
 	// busy[i] counts remaining branches until the occupying fork resolves.
 	busy := make([]int, cfg.MaxThreads-1)
-	for {
-		r, err := src.Next()
-		if err == io.EOF {
-			return res, nil
-		}
-		if err != nil {
-			return res, err
-		}
+	for i := 0; i < l.Len(); i++ {
 		// Age outstanding forks.
-		for i := range busy {
-			if busy[i] > 0 {
-				busy[i]--
+		for t := range busy {
+			if busy[t] > 0 {
+				busy[t]--
 			}
 		}
-		confident := est.Confident(r)
-		incorrect := pred.Predict(r) != r.Taken
-		pred.Update(r)
-		est.Update(r, incorrect)
-
 		res.Branches++
 		forked := false
-		if !confident {
-			for i := range busy {
-				if busy[i] == 0 {
-					busy[i] = cfg.ResolveDistance
+		if l.LowConf(i) {
+			for t := range busy {
+				if busy[t] == 0 {
+					busy[t] = cfg.ResolveDistance
 					forked = true
 					break
 				}
@@ -121,7 +118,7 @@ func RunDualPath(src trace.Source, pred predictor.Predictor, est *core.Estimator
 			res.Forks++
 			res.DualCycles += cfg.ForkPenalty
 		}
-		if incorrect {
+		if l.Mispredicted(i) {
 			res.Misses++
 			res.BaseCycles += cfg.MispredictPenalty
 			if forked {
@@ -131,4 +128,5 @@ func RunDualPath(src trace.Source, pred predictor.Predictor, est *core.Estimator
 			}
 		}
 	}
+	return res, nil
 }

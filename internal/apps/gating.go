@@ -2,9 +2,9 @@ package apps
 
 import (
 	"fmt"
-	"io"
 
 	"branchconf/internal/core"
+	"branchconf/internal/lane"
 	"branchconf/internal/predictor"
 	"branchconf/internal/trace"
 )
@@ -63,81 +63,33 @@ func (r GateResult) StallFrac() float64 {
 
 // pendingBranch tracks one unresolved branch in the model's window.
 type pendingBranch struct {
-	remaining int
-	lowConf   bool
-	mispred   bool
+	lowConf bool
+	mispred bool
 }
 
 // RunGating replays src through pred and est under the gating policy.
 func RunGating(src trace.Source, pred predictor.Predictor, est *core.Estimator, cfg GateConfig) (GateResult, error) {
-	if cfg.ResolveDistance < 1 {
-		return GateResult{}, fmt.Errorf("apps: ResolveDistance must be >= 1, got %d", cfg.ResolveDistance)
+	res, err := RunGatingBatch(src, pred, est, []GateConfig{cfg})
+	if err != nil {
+		return GateResult{}, err
 	}
-	if cfg.Threshold < 0 {
-		return GateResult{}, fmt.Errorf("apps: Threshold must be >= 0, got %d", cfg.Threshold)
+	return res[0], nil
+}
+
+// RunGatingBatch evaluates several gate configurations over src, walking
+// pred and est once to build the lanes RunGatingLanes consumes.
+func RunGatingBatch(src trace.Source, pred predictor.Predictor, est *core.Estimator, cfgs []GateConfig) ([]GateResult, error) {
+	l, err := lane.Capture(src, pred, est)
+	if err != nil {
+		return nil, err
 	}
-	var res GateResult
-	var window []pendingBranch
-	lowInFlight, wrongPathDepth := 0, 0
-	for {
-		r, err := src.Next()
-		if err == io.EOF {
-			return res, nil
-		}
-		if err != nil {
-			return res, err
-		}
-		// Resolve aged branches.
-		kept := window[:0]
-		for _, p := range window {
-			p.remaining--
-			if p.remaining <= 0 {
-				if p.lowConf {
-					lowInFlight--
-				}
-				if p.mispred {
-					wrongPathDepth--
-				}
-				continue
-			}
-			kept = append(kept, p)
-		}
-		window = kept
-
-		confident := est.Confident(r)
-		incorrect := pred.Predict(r) != r.Taken
-		pred.Update(r)
-		est.Update(r, incorrect)
-
-		work := uint64(r.Gap) + 1
-		gated := cfg.Threshold > 0 && lowInFlight >= cfg.Threshold
-		switch {
-		case gated:
-			// Fetch deferred: neither useful nor wasted work this slot.
-			res.Stalled += work
-		case wrongPathDepth > 0:
-			// Fetching past an unresolved misprediction: squashed later.
-			res.Wasted += work
-		default:
-			res.Useful += work
-		}
-
-		res.Branches++
-		if incorrect {
-			res.Misses++
-		}
-		p := pendingBranch{remaining: cfg.ResolveDistance, lowConf: !confident, mispred: incorrect && !gated}
-		if p.lowConf {
-			lowInFlight++
-		}
-		if p.mispred {
-			wrongPathDepth++
-		}
-		window = append(window, p)
-	}
+	return RunGatingLanes(l, cfgs)
 }
 
 // gateState is one threshold's private bookkeeping in a batched run.
+// Every branch resolves exactly ResolveDistance branch fetches after it
+// enters, so the window is a ring of that many slots: the slot the next
+// branch takes holds the branch resolving now.
 type gateState struct {
 	cfg            GateConfig
 	res            GateResult
@@ -146,12 +98,12 @@ type gateState struct {
 	wrongPathDepth int
 }
 
-// RunGatingBatch evaluates several gate configurations over a single trace
-// walk through one shared predictor and estimator. The gate only defers
-// fetch — it never alters what the predictor or estimator observe — so the
-// (confident, incorrect) stream is the same for every threshold and each
-// configuration's result is byte-identical to its solo RunGating run.
-func RunGatingBatch(src trace.Source, pred predictor.Predictor, est *core.Estimator, cfgs []GateConfig) ([]GateResult, error) {
+// RunGatingLanes evaluates several gate configurations over one branch
+// stream's lanes, index-aligned with cfgs. The gate only defers fetch — it
+// never alters what the predictor or estimator observe — so the
+// (low-confidence, mispredict) lanes are the same for every threshold and
+// each configuration's result is the one it would get alone.
+func RunGatingLanes(l lane.Lanes, cfgs []GateConfig) ([]GateResult, error) {
 	states := make([]gateState, len(cfgs))
 	for i, cfg := range cfgs {
 		if cfg.ResolveDistance < 1 {
@@ -161,51 +113,31 @@ func RunGatingBatch(src trace.Source, pred predictor.Predictor, est *core.Estima
 			return nil, fmt.Errorf("apps: Threshold must be >= 0, got %d", cfg.Threshold)
 		}
 		states[i].cfg = cfg
+		states[i].window = make([]pendingBranch, cfg.ResolveDistance)
 	}
-	finish := func() []GateResult {
-		out := make([]GateResult, len(states))
-		for i := range states {
-			out[i] = states[i].res
-		}
-		return out
-	}
-	for {
-		r, err := src.Next()
-		if err == io.EOF {
-			return finish(), nil
-		}
-		if err != nil {
-			return finish(), err
-		}
-		confident := est.Confident(r)
-		incorrect := pred.Predict(r) != r.Taken
-		pred.Update(r)
-		est.Update(r, incorrect)
-		work := uint64(r.Gap) + 1
+	for b := 0; b < l.Len(); b++ {
+		lowConf, incorrect := l.LowConf(b), l.Mispredicted(b)
+		work := uint64(l.Recs[b].Gap) + 1
 
 		for i := range states {
 			st := &states[i]
-			kept := st.window[:0]
-			for _, p := range st.window {
-				p.remaining--
-				if p.remaining <= 0 {
-					if p.lowConf {
-						st.lowInFlight--
-					}
-					if p.mispred {
-						st.wrongPathDepth--
-					}
-					continue
-				}
-				kept = append(kept, p)
+			// Resolve the branch fetched ResolveDistance branches ago (an
+			// empty slot resolves nothing).
+			p := &st.window[b%len(st.window)]
+			if p.lowConf {
+				st.lowInFlight--
 			}
-			st.window = kept
+			if p.mispred {
+				st.wrongPathDepth--
+			}
 
 			gated := st.cfg.Threshold > 0 && st.lowInFlight >= st.cfg.Threshold
 			switch {
 			case gated:
+				// Fetch deferred: neither useful nor wasted work this slot.
 				st.res.Stalled += work
 			case st.wrongPathDepth > 0:
+				// Fetching past an unresolved misprediction: squashed later.
 				st.res.Wasted += work
 			default:
 				st.res.Useful += work
@@ -215,14 +147,18 @@ func RunGatingBatch(src trace.Source, pred predictor.Predictor, est *core.Estima
 			if incorrect {
 				st.res.Misses++
 			}
-			p := pendingBranch{remaining: st.cfg.ResolveDistance, lowConf: !confident, mispred: incorrect && !gated}
+			*p = pendingBranch{lowConf: lowConf, mispred: incorrect && !gated}
 			if p.lowConf {
 				st.lowInFlight++
 			}
 			if p.mispred {
 				st.wrongPathDepth++
 			}
-			st.window = append(st.window, p)
 		}
 	}
+	out := make([]GateResult, len(states))
+	for i := range states {
+		out[i] = states[i].res
+	}
+	return out, nil
 }

@@ -1,9 +1,9 @@
 package apps
 
 import (
-	"io"
-
+	"branchconf/internal/bitvec"
 	"branchconf/internal/core"
+	"branchconf/internal/lane"
 	"branchconf/internal/predictor"
 	"branchconf/internal/trace"
 )
@@ -16,6 +16,11 @@ import (
 // own resetting-counter confidence table (trained on that component's
 // correctness), and the prediction comes from the component whose current
 // confidence bucket is higher.
+//
+// Neither selector feeds back into what the components or their tables
+// observe, so comparing hybrids needs only the components' lanes: their
+// mispredict bits, their confidence tables' bucket lanes, and the PC
+// (CompareHybridLanes).
 
 // ConfidenceHybrid combines two predictors with confidence-based selection.
 type ConfidenceHybrid struct {
@@ -34,12 +39,15 @@ func NewConfidenceHybrid(a, b predictor.Predictor, estA, estB core.Mechanism, pr
 }
 
 // DefaultConfidenceHybrid pairs a bimodal and a gshare predictor with
-// 2^12-entry resetting-counter confidence tables.
+// HybridTable confidence tables.
 func DefaultConfidenceHybrid() *ConfidenceHybrid {
-	mk := func() core.Mechanism {
-		return core.NewCounterTable(core.CounterConfig{Kind: core.Resetting, Scheme: core.IndexPCxorBHR, TableBits: 12, HistoryBits: 12})
-	}
-	return NewConfidenceHybrid(predictor.NewBimodal(12), predictor.NewGshare(12, 12), mk(), mk(), true)
+	return NewConfidenceHybrid(predictor.NewBimodal(12), predictor.NewGshare(12, 12), HybridTable(), HybridTable(), true)
+}
+
+// HybridTable returns a fresh component confidence table: 2^12 resetting
+// counters indexed by PC xor a 12-bit BHR.
+func HybridTable() *core.CounterTable {
+	return core.NewCounterTable(core.CounterConfig{Kind: core.Resetting, Scheme: core.IndexPCxorBHR, TableBits: 12, HistoryBits: 12})
 }
 
 // Predict selects the component with the higher confidence bucket.
@@ -94,43 +102,66 @@ func (h HybridComparison) Rate(misses uint64) float64 {
 	return float64(misses) / float64(h.Branches)
 }
 
-// CompareHybrids replays src through all four predictors in lockstep.
-// newA/newB build the component predictors; the same constructors feed the
-// tournament and the solo baselines so every structure sees identical
-// geometry.
-func CompareHybrids(src trace.Source, newA, newB func() predictor.Predictor, chooserBits uint) (HybridComparison, error) {
-	mkEst := func() core.Mechanism {
-		return core.NewCounterTable(core.CounterConfig{Kind: core.Resetting, Scheme: core.IndexPCxorBHR, TableBits: 12, HistoryBits: 12})
-	}
-	conf := NewConfidenceHybrid(newA(), newB(), mkEst(), mkEst(), true)
-	tour := predictor.NewTournament(newA(), newB(), chooserBits)
-	soloA, soloB := newA(), newB()
+// HybridLane is one component's input to CompareHybridLanes.
+type HybridLane struct {
+	// Miss is the component's mispredict lane.
+	Miss []uint64
+	// Conf is the bucket lane of the component's HybridTable, trained on
+	// the component's correctness.
+	Conf *bitvec.Dense
+}
 
-	var res HybridComparison
-	for {
-		r, err := src.Next()
-		if err == io.EOF {
-			return res, nil
-		}
-		if err != nil {
-			return res, err
-		}
-		res.Branches++
-		if conf.Predict(r) != r.Taken {
-			res.ConfHybrid++
-		}
-		if tour.Predict(r) != r.Taken {
-			res.Tournament++
-		}
-		if soloA.Predict(r) != r.Taken {
-			res.SoloA++
-		}
-		if soloB.Predict(r) != r.Taken {
-			res.SoloB++
-		}
-		conf.Update(r)
-		tour.Update(r)
-		soloA.Update(r)
-		soloB.Update(r)
+// CompareHybrids replays src once through a fresh component of each kind
+// to build the lanes CompareHybridLanes consumes.
+func CompareHybrids(src trace.Source, newA, newB func() predictor.Predictor, chooserBits uint) (HybridComparison, error) {
+	la, err := lane.Capture(src, newA(), nil)
+	if err != nil {
+		return HybridComparison{}, err
 	}
+	lb, err := lane.Capture(trace.Trace(la.Recs).Source(), newB(), nil)
+	if err != nil {
+		return HybridComparison{}, err
+	}
+	side := func(miss []uint64) HybridLane {
+		t := HybridTable()
+		conf := bitvec.NewDense(t.BucketWidth(), len(la.Recs))
+		t.FillBucketLane(la.Recs, miss, conf, nil)
+		return HybridLane{Miss: miss, Conf: conf}
+	}
+	return CompareHybridLanes(la.Recs, side(la.Miss), side(lb.Miss), chooserBits), nil
+}
+
+// CompareHybridLanes scores the confidence-selected hybrid (ties to b, as
+// DefaultConfidenceHybrid), a tournament with a 2^chooserBits-entry
+// chooser, and both solo components over the records and the components'
+// lanes.
+func CompareHybridLanes(recs []trace.Record, a, b HybridLane, chooserBits uint) HybridComparison {
+	pickA := lane.Greater(a.Conf, b.Conf)
+	chooser := predictor.NewChooser(chooserBits)
+	var res HybridComparison
+	for i, r := range recs {
+		missA, missB := lane.Bit(a.Miss, i), lane.Bit(b.Miss, i)
+		res.Branches++
+		if lane.Bit(pickA, i) {
+			res.ConfHybrid += b2u(missA)
+		} else {
+			res.ConfHybrid += b2u(missB)
+		}
+		if chooser.PickB(r.PC) {
+			res.Tournament += b2u(missB)
+		} else {
+			res.Tournament += b2u(missA)
+		}
+		res.SoloA += b2u(missA)
+		res.SoloB += b2u(missB)
+		chooser.Train(r.PC, !missA, !missB)
+	}
+	return res
+}
+
+func b2u(b bool) uint64 {
+	if b {
+		return 1
+	}
+	return 0
 }

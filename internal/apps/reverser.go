@@ -2,11 +2,11 @@ package apps
 
 import (
 	"fmt"
-	"io"
 
 	"branchconf/internal/analysis"
 	"branchconf/internal/core"
 	"branchconf/internal/predictor"
+	"branchconf/internal/sim"
 	"branchconf/internal/trace"
 )
 
@@ -17,6 +17,11 @@ import (
 // counter bucket at 37.6%, so a naive "reverse the lowest bucket" hurts.
 // ProfileReverser therefore derives the reversal set from a profiling pass:
 // only buckets measured above the threshold get reversed.
+//
+// The reverser trains on the original prediction's correctness, so it never
+// changes what the predictor or mechanism observe: both the reversal set
+// and its evaluation are functions of a run's (bucket → events, misses)
+// histogram — the histogram a suite pass already holds.
 
 // ReverserResult compares a predictor with and without reversal.
 type ReverserResult struct {
@@ -35,78 +40,64 @@ func (r ReverserResult) Delta() float64 {
 	return (float64(r.ReversedMisses) - float64(r.BaseMisses)) / float64(r.Branches)
 }
 
-// ProfileReverseSet runs a profiling pass and returns the mechanism buckets
-// whose misprediction rate exceeds threshold (0.5 for a true reverser).
-// The returned set may be empty — the paper's data suggests it often is
-// for well-tuned predictors, which is itself a reproducible finding.
-func ProfileReverseSet(src trace.Source, pred predictor.Predictor, mech core.Mechanism, threshold float64) ([]uint64, error) {
-	stats := make(analysis.BucketStats)
-	for {
-		r, err := src.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, err
-		}
-		incorrect := pred.Predict(r) != r.Taken
-		stats.Add(mech.Bucket(r), incorrect)
-		pred.Update(r)
-		mech.Update(r, incorrect)
-	}
+// ReverseSet returns the buckets of a profiling histogram whose
+// misprediction rate exceeds threshold (0.5 for a true reverser). The
+// returned set may be empty — the paper's data suggests it often is for
+// well-tuned predictors, which is itself a reproducible finding.
+func ReverseSet(profile analysis.BucketStats, threshold float64) []uint64 {
 	var set []uint64
-	for b, t := range stats {
+	for b, t := range profile {
 		// Require a minimum population so a handful of unlucky events
 		// cannot nominate a bucket.
 		if t.Events >= 64 && t.Rate() > threshold {
 			set = append(set, b)
 		}
 	}
-	return set, nil
+	return set
 }
 
-// RunReverser replays src, inverting every prediction whose confidence
-// bucket is in reverseSet, and reports both baselines. The predictor and
-// mechanism must be fresh instances (the profiling pass has its own).
-func RunReverser(src trace.Source, pred predictor.Predictor, mech core.Mechanism, reverseSet []uint64) (ReverserResult, error) {
-	rev := make(map[uint64]struct{}, len(reverseSet))
-	for _, b := range reverseSet {
-		rev[b] = struct{}{}
-	}
+// Reverse evaluates a reversal set on an evaluation run's histogram:
+// every branch in a reversed bucket is inverted, fixing the bucket's
+// misses and breaking its hits.
+func Reverse(eval analysis.BucketStats, reverseSet []uint64) ReverserResult {
 	var res ReverserResult
-	for {
-		r, err := src.Next()
-		if err == io.EOF {
-			return res, nil
-		}
-		if err != nil {
-			return res, err
-		}
-		p := pred.Predict(r)
-		_, reverse := rev[mech.Bucket(r)]
-		finalPred := p
-		if reverse {
-			finalPred = !p
-			res.Reversals++
-		}
-		baseIncorrect := p != r.Taken
-		finalIncorrect := finalPred != r.Taken
-		if reverse && baseIncorrect && !finalIncorrect {
-			res.GoodReversals++
-		}
-		// Tables train on the original prediction's correctness: the
-		// reverser is a consumer of the confidence signal, not part of
-		// the training loop (§1's architecture, Fig. 1).
-		pred.Update(r)
-		mech.Update(r, baseIncorrect)
-		res.Branches++
-		if baseIncorrect {
-			res.BaseMisses++
-		}
-		if finalIncorrect {
-			res.ReversedMisses++
-		}
+	for _, t := range eval {
+		res.Branches += t.Events
+		res.BaseMisses += t.Misses
 	}
+	seen := make(map[uint64]bool, len(reverseSet))
+	for _, b := range reverseSet {
+		t, ok := eval[b]
+		if !ok || seen[b] {
+			continue
+		}
+		seen[b] = true
+		res.Reversals += t.Events
+		res.GoodReversals += t.Misses
+	}
+	res.ReversedMisses = res.BaseMisses - 2*res.GoodReversals + res.Reversals
+	return res
+}
+
+// ProfileReverseSet runs a profiling pass of src through pred and mech and
+// returns ReverseSet of its histogram.
+func ProfileReverseSet(src trace.Source, pred predictor.Predictor, mech core.Mechanism, threshold float64) ([]uint64, error) {
+	run, err := sim.Run(src, pred, mech)
+	if err != nil {
+		return nil, err
+	}
+	return ReverseSet(run.Buckets, threshold), nil
+}
+
+// RunReverser replays src through pred and mech and evaluates reverseSet
+// on the run's histogram. The predictor and mechanism must be fresh
+// instances (the profiling pass has its own).
+func RunReverser(src trace.Source, pred predictor.Predictor, mech core.Mechanism, reverseSet []uint64) (ReverserResult, error) {
+	run, err := sim.Run(src, pred, mech)
+	if err != nil {
+		return ReverserResult{}, err
+	}
+	return Reverse(run.Buckets, reverseSet), nil
 }
 
 // ReverserStudy profiles on one seed of a benchmark and evaluates on the

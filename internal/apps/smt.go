@@ -2,9 +2,10 @@ package apps
 
 import (
 	"fmt"
-	"io"
+	"math"
 
 	"branchconf/internal/core"
+	"branchconf/internal/lane"
 	"branchconf/internal/predictor"
 	"branchconf/internal/trace"
 )
@@ -40,11 +41,6 @@ type SMTThread struct {
 	Src  trace.Source
 	Pred predictor.Predictor
 	Est  *core.Estimator
-
-	next     *trace.Record // lookahead record
-	done     bool
-	squash   int // slots until a pending misprediction resolves
-	wastedIn bool
 }
 
 // SMTResult summarises a fetch-gating run.
@@ -66,27 +62,56 @@ func (r SMTResult) Efficiency() float64 {
 }
 
 // RunSMT drives the threads until any thread's trace ends (keeping thread
-// loads comparable) or maxSlots fetch slots elapse.
+// loads comparable) or maxSlots fetch slots elapse. Each thread's source is
+// walked once through its predictor and estimator to build the lanes
+// RunSMTLanes consumes; no thread is read past the maxSlots+1 records the
+// run can reach.
 func RunSMT(threads []*SMTThread, cfg SMTConfig, maxSlots uint64) (SMTResult, error) {
-	if len(threads) == 0 {
+	limit := maxSlots
+	if limit < math.MaxUint64 {
+		limit++ // the lookahead record
+	}
+	lanes := make([]lane.Lanes, len(threads))
+	for i, th := range threads {
+		l, err := lane.Capture(trace.Limit(th.Src, limit), th.Pred, th.Est)
+		if err != nil {
+			return SMTResult{}, fmt.Errorf("apps: SMT thread %s: %w", th.Name, err)
+		}
+		lanes[i] = l
+	}
+	return RunSMTLanes(lanes, cfg, maxSlots)
+}
+
+// smtThread is one thread's fetch state in a lane-driven run.
+type smtThread struct {
+	l      lane.Lanes
+	next   int // lookahead branch index; == l.Len() once the trace ends
+	squash int // slots until a pending misprediction resolves
+}
+
+func (t *smtThread) done() bool { return t.next == t.l.Len() }
+
+// RunSMTLanes drives one lane set per thread until any thread's branches
+// run out or maxSlots fetch slots elapse. The gated policy reads each
+// thread's low-confidence lane at its lookahead branch.
+func RunSMTLanes(lanes []lane.Lanes, cfg SMTConfig, maxSlots uint64) (SMTResult, error) {
+	if len(lanes) == 0 {
 		return SMTResult{}, fmt.Errorf("apps: RunSMT needs at least one thread")
 	}
 	if cfg.ResolveSlots < 1 {
 		return SMTResult{}, fmt.Errorf("apps: ResolveSlots must be >= 1")
 	}
-	res := SMTResult{PerThreadUse: make([]uint64, len(threads))}
-	// Prime lookaheads.
-	for _, th := range threads {
-		if err := th.advance(); err != nil {
-			return res, err
-		}
+	res := SMTResult{PerThreadUse: make([]uint64, len(lanes))}
+	threads := make([]smtThread, len(lanes))
+	for i, l := range lanes {
+		threads[i].l = l
 	}
 	rr := 0
 	for res.Slots < maxSlots {
 		// Retire squash windows.
-		for _, th := range threads {
-			if th.squash > 0 {
-				th.squash--
+		for i := range threads {
+			if threads[i].squash > 0 {
+				threads[i].squash--
 			}
 		}
 		pick := -1
@@ -94,11 +119,11 @@ func RunSMT(threads []*SMTThread, cfg SMTConfig, maxSlots uint64) (SMTResult, er
 		// next prediction is low confidence (or which are mid-squash).
 		for scan := 0; scan < len(threads); scan++ {
 			i := (rr + scan) % len(threads)
-			th := threads[i]
-			if th.done || th.squash > 0 {
+			th := &threads[i]
+			if th.done() || th.squash > 0 {
 				continue
 			}
-			if cfg.Gated && !th.confident() {
+			if cfg.Gated && th.l.LowConf(th.next) {
 				res.GatedSkips++
 				continue
 			}
@@ -110,7 +135,7 @@ func RunSMT(threads []*SMTThread, cfg SMTConfig, maxSlots uint64) (SMTResult, er
 			// the machine never idles on a full workload.
 			for scan := 0; scan < len(threads); scan++ {
 				i := (rr + scan) % len(threads)
-				if !threads[i].done && threads[i].squash == 0 {
+				if !threads[i].done() && threads[i].squash == 0 {
 					pick = i
 					break
 				}
@@ -121,16 +146,13 @@ func RunSMT(threads []*SMTThread, cfg SMTConfig, maxSlots uint64) (SMTResult, er
 			res.Slots++
 			continue
 		}
-		th := threads[pick]
+		th := &threads[pick]
 		rr = (pick + 1) % len(threads)
-		r := *th.next
+		b := th.next
+		th.next++
 
-		incorrect := th.Pred.Predict(r) != r.Taken
-		th.Pred.Update(r)
-		th.Est.Update(r, incorrect)
-
-		fetched := uint64(r.Gap) + 1
-		if incorrect {
+		fetched := uint64(th.l.Recs[b].Gap) + 1
+		if th.l.Mispredicted(b) {
 			// The branch itself is useful; what follows until resolution
 			// is wasted. Approximate the squashed run as the next
 			// ResolveSlots slots of this thread's fetch.
@@ -142,35 +164,9 @@ func RunSMT(threads []*SMTThread, cfg SMTConfig, maxSlots uint64) (SMTResult, er
 			res.PerThreadUse[pick] += fetched
 		}
 		res.Slots++
-		if err := th.advance(); err != nil {
-			return res, err
-		}
-		if th.done {
+		if th.done() {
 			return res, nil // stop at first exhausted thread
 		}
 	}
 	return res, nil
-}
-
-// advance pulls the thread's next record into the lookahead.
-func (t *SMTThread) advance() error {
-	r, err := t.Src.Next()
-	if err == io.EOF {
-		t.done = true
-		t.next = nil
-		return nil
-	}
-	if err != nil {
-		return err
-	}
-	t.next = &r
-	return nil
-}
-
-// confident reports the estimator's signal for the lookahead branch.
-func (t *SMTThread) confident() bool {
-	if t.next == nil {
-		return false
-	}
-	return t.Est.Confident(*t.next)
 }

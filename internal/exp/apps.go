@@ -1,14 +1,58 @@
 package exp
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
 	"branchconf/internal/apps"
 	"branchconf/internal/core"
+	"branchconf/internal/lane"
 	"branchconf/internal/predictor"
+	"branchconf/internal/trace"
 	"branchconf/internal/workload"
 )
+
+// The hybrid study's component predictors and the reverser's pass
+// mechanism (fig10's 4096-entry table).
+var (
+	predBimodal12    = Pred(func() predictor.Predictor { return predictor.NewBimodal(12) })
+	predGshare12x12  = Pred(func() predictor.Predictor { return predictor.NewGshare(12, 12) })
+	mechSmallReset12 = Mech(func() core.Mechanism { return core.SmallResetting(12) })
+)
+
+// smtMix is the SMT study's four-thread workload mix.
+var smtMix = []string{"groff", "real_gcc", "jpeg_play", "sdet"}
+
+// smtLanes returns each SMT thread's gshare-4K lanes, low confidence under
+// the paper estimator at threshold 16.
+func (s *Session) smtLanes(ctx context.Context) ([]lane.Lanes, error) {
+	lanes := make([]lane.Lanes, len(smtMix))
+	for i, name := range smtMix {
+		spec, err := workload.ByName(name)
+		if err != nil {
+			return nil, err
+		}
+		if lanes[i], err = s.estLanes(ctx, spec, predGshare4K, core.PaperResetting(), 16); err != nil {
+			return nil, err
+		}
+	}
+	return lanes, nil
+}
+
+// hybridLanes returns spec's records and the hybrid study's two component
+// inputs: each component's miss lane and its HybridTable bucket lane.
+func (s *Session) hybridLanes(ctx context.Context, spec workload.Spec) ([]trace.Record, apps.HybridLane, apps.HybridLane, error) {
+	la, confA, err := s.modelLanes(ctx, spec, predBimodal12, apps.HybridTable())
+	if err != nil {
+		return nil, apps.HybridLane{}, apps.HybridLane{}, err
+	}
+	lb, confB, err := s.modelLanes(ctx, spec, predGshare12x12, apps.HybridTable())
+	if err != nil {
+		return nil, apps.HybridLane{}, apps.HybridLane{}, err
+	}
+	return la.Recs, apps.HybridLane{Miss: la.Miss, Conf: confA}, apps.HybridLane{Miss: lb.Miss, Conf: confB}, nil
+}
 
 // packAppDual flattens an application-level dual-path run's counters for
 // the model tier.
@@ -42,12 +86,12 @@ func init() {
 			n := 0
 			for _, spec := range workload.Suite() {
 				params := appDualParams("gshare64k", "paper16", apps.DefaultDualPath())
-				counts, err := s.modelCounts(modelKey("appdual", spec.Name, s.Branches(), params), appDualLen, func() ([]uint64, error) {
-					src, err := s.Source(spec)
+				counts, err := s.modelCounts(o.ID, modelKey("appdual", spec.Name, s.Branches(), params), appDualLen, func(ctx context.Context) ([]uint64, error) {
+					l, err := s.estLanes(ctx, spec, predGshare64K, core.PaperResetting(), 16)
 					if err != nil {
 						return nil, err
 					}
-					res, err := apps.RunDualPath(src, predictor.Gshare64K(), core.PaperEstimator(16), apps.DefaultDualPath())
+					res, err := apps.RunDualPathLanes(l, apps.DefaultDualPath())
 					if err != nil {
 						return nil, err
 					}
@@ -69,35 +113,20 @@ func init() {
 			o.Scalars["dualpath-coverage%"] = 100 * coverage
 			o.Scalars["dualpath-savings%"] = 100 * savings
 
-			// 2) SMT fetch gating: four mixed threads, gated vs round-robin.
-			mkThreads := func() ([]*apps.SMTThread, error) {
-				names := []string{"groff", "real_gcc", "jpeg_play", "sdet"}
-				out := make([]*apps.SMTThread, 0, len(names))
-				for _, name := range names {
-					spec, err := workload.ByName(name)
-					if err != nil {
-						return nil, err
-					}
-					src, err := s.Source(spec)
-					if err != nil {
-						return nil, err
-					}
-					out = append(out, &apps.SMTThread{Name: name, Src: src, Pred: predictor.Gshare4K(), Est: core.PaperEstimator(16)})
-				}
-				return out, nil
-			}
-			// One SMT model run per policy, served through the model tier.
-			// The thread mix is part of the key; PerThreadUse rides behind
-			// the four scalar counters in the packed vector.
+			// 2) SMT fetch gating: four mixed threads, gated vs round-robin,
+			// each thread reading its benchmark's gshare-4K lanes. One SMT
+			// model run per policy, served through the model tier. The
+			// thread mix is part of the key; PerThreadUse rides behind the
+			// four scalar counters in the packed vector.
 			runSMT := func(gated bool) (apps.SMTResult, error) {
 				smtCfg := apps.SMTConfig{ResolveSlots: 6, Gated: gated}
-				params := fmt.Sprintf("mix=groff+real_gcc+jpeg_play+sdet|pred=gshare4k|est=paper16|slots=%d|gated=%t", smtCfg.ResolveSlots, gated)
-				counts, err := s.modelCounts(modelKey("smt", "mix4", 4*s.Branches(), params), 4+4, func() ([]uint64, error) {
-					threads, err := mkThreads()
+				params := fmt.Sprintf("mix=%s|pred=gshare4k|est=paper16|slots=%d|gated=%t", strings.Join(smtMix, "+"), smtCfg.ResolveSlots, gated)
+				counts, err := s.modelCounts(o.ID, modelKey("smt", "mix4", 4*s.Branches(), params), 4+4, func(ctx context.Context) ([]uint64, error) {
+					lanes, err := s.smtLanes(ctx)
 					if err != nil {
 						return nil, err
 					}
-					res, err := apps.RunSMT(threads, smtCfg, 4*s.Branches())
+					res, err := apps.RunSMTLanes(lanes, smtCfg, 4*s.Branches())
 					if err != nil {
 						return nil, err
 					}
@@ -124,18 +153,12 @@ func init() {
 			// 3) Hybrid selector vs tournament, averaged over the suite.
 			var confRate, tourRate, bimRate, gshRate float64
 			for _, spec := range workload.Suite() {
-				counts, err := s.modelCounts(modelKey("hybrid", spec.Name, s.Branches(), "a=bimodal12|b=gshare12x12|chooser=12"), 5, func() ([]uint64, error) {
-					src, err := s.Source(spec)
+				counts, err := s.modelCounts(o.ID, modelKey("hybrid", spec.Name, s.Branches(), "a=bimodal12|b=gshare12x12|chooser=12"), 5, func(ctx context.Context) ([]uint64, error) {
+					recs, a, b, err := s.hybridLanes(ctx, spec)
 					if err != nil {
 						return nil, err
 					}
-					r, err := apps.CompareHybrids(src,
-						func() predictor.Predictor { return predictor.NewBimodal(12) },
-						func() predictor.Predictor { return predictor.NewGshare(12, 12) },
-						12)
-					if err != nil {
-						return nil, err
-					}
+					r := apps.CompareHybridLanes(recs, a, b, 12)
 					return []uint64{r.Branches, r.ConfHybrid, r.Tournament, r.SoloA, r.SoloB}, nil
 				})
 				if err != nil {
@@ -158,22 +181,20 @@ func init() {
 			var deltaSum float64
 			var setSum int
 			for _, spec := range workload.Suite() {
-				counts, err := s.modelCounts(modelKey("reverser", spec.Name, s.Branches(), "pred=gshare4k|mech=smallreset12|thr=0.55"), 6, func() ([]uint64, error) {
-					p1, err := s.Source(spec)
+				counts, err := s.modelCounts(o.ID, modelKey("reverser", spec.Name, s.Branches(), "pred=gshare4k|mech=smallreset12|thr=0.55"), 6, func(context.Context) ([]uint64, error) {
+					// Profile and evaluation run on the same trace, so both
+					// read fig10's 4096-entry pass histogram.
+					pass, err := s.SuiteOne(predGshare4K, mechSmallReset12)
 					if err != nil {
 						return nil, err
 					}
-					p2, err := s.Source(spec)
+					run, err := pass.ByName(spec.Name)
 					if err != nil {
 						return nil, err
 					}
-					r, setSize, err := apps.ReverserStudy(p1, p2,
-						func() predictor.Predictor { return predictor.Gshare4K() },
-						func() core.Mechanism { return core.SmallResetting(12) }, 0.55)
-					if err != nil {
-						return nil, err
-					}
-					return []uint64{r.Branches, r.BaseMisses, r.ReversedMisses, r.Reversals, r.GoodReversals, uint64(setSize)}, nil
+					set := apps.ReverseSet(run.Buckets, 0.55)
+					r := apps.Reverse(run.Buckets, set)
+					return []uint64{r.Branches, r.BaseMisses, r.ReversedMisses, r.Reversals, r.GoodReversals, uint64(len(set))}, nil
 				})
 				if err != nil {
 					return nil, err

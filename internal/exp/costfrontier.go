@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
@@ -55,18 +56,16 @@ func init() {
 						n++
 					}
 				} else {
-					mech := Mech(func() core.Mechanism {
+					mkTable := func() *core.CounterTable {
 						return core.NewCounterTable(core.CounterConfig{
 							Kind: core.Resetting, Scheme: core.IndexPCxorBHR,
 							TableBits: split.ctBits, HistoryBits: histBits,
 						})
-					})
-					sr, err := s.SuiteOne(Pred(mkPred), mech)
+					}
+					pred := Pred(mkPred)
+					sr, err := s.SuiteOne(pred, Mech(func() core.Mechanism { return mkTable() }))
 					if err != nil {
 						return nil, err
-					}
-					est := func() *core.Estimator {
-						return core.NewEstimator(mech.New(), core.CounterReducer{Threshold: 16})
 					}
 					for _, spec := range workload.Suite() {
 						run, err := sr.ByName(spec.Name)
@@ -78,12 +77,14 @@ func init() {
 							fmt.Sprintf("gshare%dx%d", split.predBits, histBits),
 							fmt.Sprintf("ctreset%dh%dthr16", split.ctBits, histBits),
 							apps.DefaultDualPath())
-						counts, err := s.modelCounts(modelKey("appdual", spec.Name, s.Branches(), params), appDualLen, func() ([]uint64, error) {
-							src, err := s.Source(spec)
+						// The dual-path model reads the lanes of the pass
+						// just built: no predictor or table walks again.
+						counts, err := s.modelCounts(o.ID, modelKey("appdual", spec.Name, s.Branches(), params), appDualLen, func(ctx context.Context) ([]uint64, error) {
+							l, err := s.estLanes(ctx, spec, pred, mkTable(), 16)
 							if err != nil {
 								return nil, err
 							}
-							dres, err := apps.RunDualPath(src, mkPred(), est(), apps.DefaultDualPath())
+							dres, err := apps.RunDualPathLanes(l, apps.DefaultDualPath())
 							if err != nil {
 								return nil, err
 							}

@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
@@ -44,9 +45,9 @@ func registerExtensions() {
 			o := &Output{ID: "gating", Title: "pipeline gating", Scalars: map[string]float64{}}
 			var b strings.Builder
 			b.WriteString("gate-threshold  wasted%work  stalled%demand  mispredict%\n")
-			// All thresholds share one predictor+estimator walk per benchmark
-			// (the gate never feeds back into either), so the whole study is
-			// one pass over the suite instead of len(thresholds) passes.
+			// All thresholds share one benchmark's lanes (the gate never
+			// feeds back into the predictor or estimator), so the whole
+			// study is one model build per benchmark.
 			thresholds := []int{0, 4, 2, 1}
 			cfgs := make([]apps.GateConfig, len(thresholds))
 			for i, thr := range thresholds {
@@ -58,15 +59,15 @@ func registerExtensions() {
 			n := 0
 			for _, spec := range workload.Suite() {
 				// The whole batch is one model-tier entry: its counts are a
-				// pure function of one predictor+estimator walk, and the
-				// threshold list is part of the key.
+				// pure function of one benchmark's lanes, and the threshold
+				// list is part of the key.
 				params := fmt.Sprintf("pred=gshare4k|est=paper8|resolve=4|thrs=%v", thresholds)
-				counts, err := s.modelCounts(modelKey("gating", spec.Name, s.Branches(), params), 5*len(cfgs), func() ([]uint64, error) {
-					src, err := s.Source(spec)
+				counts, err := s.modelCounts(o.ID, modelKey("gating", spec.Name, s.Branches(), params), 5*len(cfgs), func(ctx context.Context) ([]uint64, error) {
+					l, err := s.estLanes(ctx, spec, predGshare4K, core.PaperResetting(), 8)
 					if err != nil {
 						return nil, err
 					}
-					results, err := apps.RunGatingBatch(src, predictor.Gshare4K(), core.PaperEstimator(8), cfgs)
+					results, err := apps.RunGatingLanes(l, cfgs)
 					if err != nil {
 						return nil, err
 					}

@@ -1,28 +1,30 @@
 package exp
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
 	"branchconf/internal/core"
+	"branchconf/internal/lane"
 	"branchconf/internal/pipeline"
-	"branchconf/internal/predictor"
-	"branchconf/internal/trace"
 	"branchconf/internal/workload"
 )
 
-// oracleSignal is a perfect confidence estimator: low confidence exactly
-// when the prediction will be wrong. It bounds what any real estimator
-// can achieve for pipeline gating.
-type oracleSignal struct {
-	pred predictor.Predictor
+// policyLanes returns spec's gshare-4K lanes with the low-confidence lane a
+// fetch policy reads: the paper estimator's (resetting counters below thr)
+// for thr > 0, the oracle's — low confidence exactly on mispredictions, the
+// bound no real estimator can beat — or none.
+func (s *Session) policyLanes(ctx context.Context, spec workload.Spec, thr uint64, oracle bool) (lane.Lanes, error) {
+	if thr > 0 {
+		return s.estLanes(ctx, spec, predGshare4K, core.PaperResetting(), thr)
+	}
+	l, _, err := s.modelLanes(ctx, spec, predGshare4K, nil)
+	if oracle {
+		l.Low = l.Miss
+	}
+	return l, err
 }
-
-// Confident peeks at the predictor (Predict is side-effect free).
-func (o oracleSignal) Confident(r trace.Record) bool { return o.pred.Predict(r) == r.Taken }
-
-// Update is a no-op: oracles need no training.
-func (o oracleSignal) Update(trace.Record, bool) {}
 
 // packPipeStats flattens a pipeline run's counters for the model tier; the
 // unpacker must mirror the order exactly.
@@ -59,7 +61,7 @@ func init() {
 			type policy struct {
 				label  string
 				gate   int
-				est    uint64 // resetting-counter threshold; 0 with oracle
+				est    uint64 // resetting-counter threshold; 0 when ungated or oracle
 				oracle bool
 			}
 			policies := []policy{
@@ -83,19 +85,12 @@ func init() {
 				m.GateThreshold = pol.gate
 				params := fmt.Sprintf("pred=gshare4k|est=%s|fw=%d|depth=%d|gate=%d", estLabel, m.FetchWidth, m.Depth, m.GateThreshold)
 				for _, spec := range workload.Suite() {
-					counts, err := s.modelCounts(modelKey("pipeline", spec.Name, s.Branches(), params), pipeStatsLen, func() ([]uint64, error) {
-						src, err := s.Source(spec)
+					counts, err := s.modelCounts(o.ID, modelKey("pipeline", spec.Name, s.Branches(), params), pipeStatsLen, func(ctx context.Context) ([]uint64, error) {
+						l, err := s.policyLanes(ctx, spec, pol.est, pol.oracle)
 						if err != nil {
 							return nil, err
 						}
-						pred := predictor.Gshare4K()
-						var est pipeline.ConfidenceSignal
-						if pol.oracle {
-							est = oracleSignal{pred: pred}
-						} else if pol.gate > 0 {
-							est = core.PaperEstimator(pol.est)
-						}
-						st, err := pipeline.Run(src, pred, est, m)
+						st, err := pipeline.RunLanes(l, m)
 						if err != nil {
 							return nil, err
 						}
@@ -153,12 +148,12 @@ func init() {
 				for _, spec := range workload.Suite() {
 					if pol.off {
 						params := fmt.Sprintf("pred=gshare4k|est=none|fw=%d|depth=%d|gate=0", mach.FetchWidth, mach.Depth)
-						counts, err := s.modelCounts(modelKey("pipeline", spec.Name, s.Branches(), params), pipeStatsLen, func() ([]uint64, error) {
-							src, err := s.Source(spec)
+						counts, err := s.modelCounts(o.ID, modelKey("pipeline", spec.Name, s.Branches(), params), pipeStatsLen, func(ctx context.Context) ([]uint64, error) {
+							l, err := s.policyLanes(ctx, spec, 0, false)
 							if err != nil {
 								return nil, err
 							}
-							st, err := pipeline.Run(src, predictor.Gshare4K(), nil, pipeline.Config{FetchWidth: mach.FetchWidth, Depth: mach.Depth})
+							st, err := pipeline.RunLanes(l, pipeline.Config{FetchWidth: mach.FetchWidth, Depth: mach.Depth})
 							if err != nil {
 								return nil, err
 							}
@@ -172,19 +167,12 @@ func init() {
 						continue
 					}
 					params := fmt.Sprintf("pred=gshare4k|est=%s|fw=%d|depth=%d|forkw=%d", estLabel, mach.FetchWidth, mach.Depth, mach.ForkWidth)
-					counts, err := s.modelCounts(modelKey("pipedual", spec.Name, s.Branches(), params), dualStatsLen, func() ([]uint64, error) {
-						src, err := s.Source(spec)
+					counts, err := s.modelCounts(o.ID, modelKey("pipedual", spec.Name, s.Branches(), params), dualStatsLen, func(ctx context.Context) ([]uint64, error) {
+						l, err := s.policyLanes(ctx, spec, pol.est, pol.oracle)
 						if err != nil {
 							return nil, err
 						}
-						pred := predictor.Gshare4K()
-						var est pipeline.ConfidenceSignal
-						if pol.oracle {
-							est = oracleSignal{pred: pred}
-						} else {
-							est = core.PaperEstimator(pol.est)
-						}
-						st, err := pipeline.RunDualPath(src, pred, est, mach)
+						st, err := pipeline.RunDualPathLanes(l, mach)
 						if err != nil {
 							return nil, err
 						}

@@ -3,6 +3,7 @@ package pipeline
 import (
 	"fmt"
 
+	"branchconf/internal/lane"
 	"branchconf/internal/predictor"
 	"branchconf/internal/trace"
 )
@@ -42,10 +43,22 @@ type DualPathStats struct {
 	ForkSlots   uint64 // fetch slots diverted to alternate paths
 }
 
-// RunDualPath drives the dual-path machine over src. The estimator
-// selects fork candidates; only one fork may be live at a time (the
-// paper's two-thread limit).
+// RunDualPath drives the dual-path machine over src, walking pred and est
+// once to build the lanes RunDualPathLanes consumes. The estimator selects
+// fork candidates and must be non-nil.
 func RunDualPath(src trace.Source, pred predictor.Predictor, est ConfidenceSignal, cfg DualPathConfig) (DualPathStats, error) {
+	l, err := lane.Capture(src, pred, est)
+	if err != nil {
+		return DualPathStats{}, err
+	}
+	return RunDualPathLanes(l, cfg)
+}
+
+// RunDualPathLanes drives the dual-path machine over one branch stream's
+// lanes. Low-confidence branches are fork candidates, so the lanes must
+// carry a low-confidence lane; only one fork may be live at a time (the
+// paper's two-thread limit).
+func RunDualPathLanes(l lane.Lanes, cfg DualPathConfig) (DualPathStats, error) {
 	if cfg.FetchWidth < 1 {
 		return DualPathStats{}, fmt.Errorf("pipeline: FetchWidth must be >= 1, got %d", cfg.FetchWidth)
 	}
@@ -55,13 +68,13 @@ func RunDualPath(src trace.Source, pred predictor.Predictor, est ConfidenceSigna
 	if cfg.ForkWidth < 1 || cfg.ForkWidth >= cfg.FetchWidth {
 		return DualPathStats{}, fmt.Errorf("pipeline: ForkWidth %d must be in [1, FetchWidth)", cfg.ForkWidth)
 	}
-	if est == nil {
+	if l.Low == nil {
 		return DualPathStats{}, fmt.Errorf("pipeline: dual-path execution requires a confidence estimator")
 	}
 	var st DualPathStats
-	stream := &instrStream{src: src}
+	stream := newInstrStream(l.Recs)
 	// Consumed from head, appended at the tail; compacted when drained so
-	// the hot loop stays allocation-free (see Run).
+	// the hot loop stays allocation-free (see RunLanes).
 	var window []outBranch
 	head := 0
 	// forkUntil is the resolve cycle of the live fork (0 = no live fork);
@@ -96,58 +109,62 @@ func RunDualPath(src trace.Source, pred predictor.Predictor, est ConfidenceSigna
 		}
 
 		width := cfg.FetchWidth
+		k := uint64(1) // cycles this fetch state holds for
+		if wrongPath {
+			// Fetch stays on the wrong path until the oldest in-flight
+			// branch or the fork resolves: account those cycles at once.
+			k = window[head].resolveAt - cycle
+			if forkUntil != 0 && forkUntil-cycle < k {
+				k = forkUntil - cycle
+			}
+		}
 		if forkUntil != 0 {
 			width -= cfg.ForkWidth
-			st.ForkSlots += uint64(cfg.ForkWidth)
+			st.ForkSlots += k * uint64(cfg.ForkWidth)
+		}
+		if wrongPath {
+			st.WrongPath += k * uint64(width)
+			cycle += k - 1
+			continue
 		}
 		for slot := 0; slot < width; {
-			if wrongPath {
-				st.WrongPath += uint64(width - slot)
-				break
-			}
-			if streamDone {
-				break
-			}
-			gap, isBranch, rec, ok, err := stream.nextBulk(width - slot)
-			if err != nil {
-				return st, err
-			}
-			if !ok {
+			gap, i, isBranch, done := stream.take(width - slot)
+			if done {
 				streamDone = true
 				break
 			}
+			st.Retired += uint64(gap)
+			slot += gap
 			if !isBranch {
-				st.Retired += uint64(gap)
-				slot += gap
-				continue
+				break
 			}
 			st.Retired++
 			slot++
 			st.Branches++
-			confident := est.Confident(rec)
-			incorrect := pred.Predict(rec) != rec.Taken
-			pred.Update(rec)
-			est.Update(rec, incorrect)
+			incorrect := l.Mispredicted(i)
 
 			forked := false
-			if !confident && forkUntil == 0 {
+			if l.LowConf(i) && forkUntil == 0 {
 				// Spare context free: follow both paths for this branch.
 				forkUntil = cycle + uint64(cfg.Depth)
 				forkCovers = incorrect
 				forked = true
 				st.Forks++
 			}
+			covered := forked && forkCovers
+			window = append(window, outBranch{resolveAt: cycle + uint64(cfg.Depth), mispred: incorrect && !covered})
 			if incorrect {
 				st.Misses++
-				if forked && forkCovers {
+				if covered {
 					// Covered: the alternate path carries the correct
 					// continuation; no wrong-path window.
 					st.CoveredMiss++
 				} else {
 					wrongPath = true
+					st.WrongPath += uint64(width - slot)
+					break
 				}
 			}
-			window = append(window, outBranch{resolveAt: cycle + uint64(cfg.Depth), mispred: incorrect && !(forked && forkCovers)})
 		}
 	}
 }

@@ -17,21 +17,16 @@ package pipeline
 
 import (
 	"fmt"
-	"io"
 
+	"branchconf/internal/lane"
 	"branchconf/internal/predictor"
 	"branchconf/internal/trace"
 )
 
-// ConfidenceSignal is the estimator interface the front end consumes:
-// core.Estimator satisfies it, and tests/experiments may substitute an
-// oracle for upper-bound studies.
-type ConfidenceSignal interface {
-	// Confident reports the high/low signal for the upcoming prediction.
-	Confident(r trace.Record) bool
-	// Update trains the estimator with the prediction's correctness.
-	Update(r trace.Record, incorrect bool)
-}
+// ConfidenceSignal is the estimator interface the source-driven entry
+// points consume: core.Estimator satisfies it, and tests/experiments may
+// substitute an oracle for upper-bound studies.
+type ConfidenceSignal = lane.Signal
 
 // Config describes the modelled machine.
 type Config struct {
@@ -82,54 +77,59 @@ type outBranch struct {
 	lowConf   bool
 }
 
-// instrStream expands a branch trace into an instruction-granularity
+// instrStream expands a branch lane into an instruction-granularity
 // stream: Gap non-branch instructions precede each branch.
 type instrStream struct {
-	src     trace.Source
-	cur     trace.Record
-	gapLeft int
-	loaded  bool
-	done    bool
+	recs    []trace.Record
+	next    int // index of the next branch
+	gapLeft int // gap instructions still ahead of branch next
 }
 
-// nextBulk returns the next fetch group from the stream: either gap > 0
-// non-branch instructions (at most max of them — the remaining fetch slots
-// this cycle), or the next conditional branch (gap == 0, rec valid). ok is
-// false once the stream is exhausted. Consuming gap instructions in bulk
-// instead of one call per instruction keeps the per-cycle cost at O(fetch
-// groups), not O(instructions); the counts produced are identical.
-func (s *instrStream) nextBulk(max int) (gap int, isBranch bool, rec trace.Record, ok bool, err error) {
-	if s.done {
-		return 0, false, trace.Record{}, false, nil
+func newInstrStream(recs []trace.Record) instrStream {
+	s := instrStream{recs: recs}
+	if len(recs) > 0 {
+		s.gapLeft = int(recs[0].Gap)
 	}
-	if !s.loaded {
-		r, err := s.src.Next()
-		if err == io.EOF {
-			s.done = true
-			return 0, false, trace.Record{}, false, nil
-		}
-		if err != nil {
-			return 0, false, trace.Record{}, false, err
-		}
-		s.cur = r
-		s.gapLeft = int(r.Gap)
-		s.loaded = true
-	}
-	if s.gapLeft > 0 {
-		k := s.gapLeft
-		if k > max {
-			k = max
-		}
-		s.gapLeft -= k
-		return k, false, trace.Record{}, true, nil
-	}
-	s.loaded = false
-	return 0, true, s.cur, true, nil
+	return s
 }
 
-// Run drives the machine over src. The estimator may be nil when gating is
+// take fetches from the stream into room free slots: the gap
+// instructions ahead of the next branch, up to room of them, and then —
+// if a slot is left — the branch itself, reported as its index i with
+// isBranch set. done reports an exhausted stream, with nothing taken.
+// Taking a whole gap run per call keeps the per-cycle cost at O(branches
+// fetched), not O(instructions).
+func (s *instrStream) take(room int) (gap, i int, isBranch, done bool) {
+	if s.next == len(s.recs) {
+		return 0, 0, false, true
+	}
+	if s.gapLeft >= room {
+		s.gapLeft -= room
+		return room, 0, false, false
+	}
+	gap, i = s.gapLeft, s.next
+	if s.next++; s.next < len(s.recs) {
+		s.gapLeft = int(s.recs[s.next].Gap)
+	}
+	return gap, i, true, false
+}
+
+// Run drives the machine over src, walking pred and est once to build the
+// lanes RunLanes consumes. The estimator may be nil when gating is
 // disabled; with gating enabled it must be non-nil.
 func Run(src trace.Source, pred predictor.Predictor, est ConfidenceSignal, cfg Config) (Stats, error) {
+	l, err := lane.Capture(src, pred, est)
+	if err != nil {
+		return Stats{}, err
+	}
+	return RunLanes(l, cfg)
+}
+
+// RunLanes drives the machine over one branch stream's lanes: the gap
+// lane feeds fetch, the mispredict lane opens wrong-path windows, and the
+// low-confidence lane drives the gate. Gating requires a low-confidence
+// lane.
+func RunLanes(l lane.Lanes, cfg Config) (Stats, error) {
 	if cfg.FetchWidth < 1 {
 		return Stats{}, fmt.Errorf("pipeline: FetchWidth must be >= 1, got %d", cfg.FetchWidth)
 	}
@@ -139,11 +139,11 @@ func Run(src trace.Source, pred predictor.Predictor, est ConfidenceSignal, cfg C
 	if cfg.GateThreshold < 0 {
 		return Stats{}, fmt.Errorf("pipeline: GateThreshold must be >= 0, got %d", cfg.GateThreshold)
 	}
-	if cfg.GateThreshold > 0 && est == nil {
+	if cfg.GateThreshold > 0 && l.Low == nil {
 		return Stats{}, fmt.Errorf("pipeline: gating requires a confidence estimator")
 	}
 	var st Stats
-	stream := &instrStream{src: src}
+	stream := newInstrStream(l.Recs)
 	// window is consumed from head and appended at the tail; compacting once
 	// drained (instead of re-slicing) reuses its capacity, keeping the hot
 	// loop allocation-free.
@@ -177,60 +177,48 @@ func Run(src trace.Source, pred predictor.Predictor, est ConfidenceSignal, cfg C
 			return st, nil
 		}
 
-		// Gate check: a closed gate idles the whole fetch group.
-		if cfg.GateThreshold > 0 && lowInFlight >= cfg.GateThreshold {
-			st.GateStalls += uint64(cfg.FetchWidth)
+		// A closed gate idles the whole fetch group; fetch past a
+		// misprediction wastes it. Either way nothing changes until the
+		// oldest in-flight branch resolves, so account those cycles at once.
+		if gated := cfg.GateThreshold > 0 && lowInFlight >= cfg.GateThreshold; gated || wrongPath {
+			k := window[head].resolveAt - cycle
+			if gated {
+				st.GateStalls += k * uint64(cfg.FetchWidth)
+			} else {
+				st.WrongPath += k * uint64(cfg.FetchWidth)
+			}
+			cycle += k - 1
 			continue
 		}
 
 		// Fetch up to FetchWidth instructions.
 		for slot := 0; slot < cfg.FetchWidth; {
-			if wrongPath {
-				// Fetching down the mispredicted path: pure waste for the
-				// rest of the group.
-				st.WrongPath += uint64(cfg.FetchWidth - slot)
-				break
-			}
-			if streamDone {
-				break
-			}
-			gap, isBranch, rec, ok, err := stream.nextBulk(cfg.FetchWidth - slot)
-			if err != nil {
-				return st, err
-			}
-			if !ok {
+			gap, i, isBranch, done := stream.take(cfg.FetchWidth - slot)
+			if done {
 				streamDone = true
 				break
 			}
+			st.Retired += uint64(gap)
+			slot += gap
 			if !isBranch {
-				st.Retired += uint64(gap)
-				slot += gap
-				continue
+				break
 			}
 			st.Retired++
 			slot++
 			st.Branches++
-			confident := true
-			if est != nil {
-				confident = est.Confident(rec)
-			}
-			incorrect := pred.Predict(rec) != rec.Taken
-			pred.Update(rec)
-			if est != nil {
-				est.Update(rec, incorrect)
-			}
-			if incorrect {
-				st.Misses++
-				wrongPath = true
-			}
-			b := outBranch{resolveAt: cycle + uint64(cfg.Depth), mispred: incorrect, lowConf: !confident}
+			incorrect := l.Mispredicted(i)
+			b := outBranch{resolveAt: cycle + uint64(cfg.Depth), mispred: incorrect, lowConf: l.LowConf(i)}
 			if b.lowConf {
 				lowInFlight++
 			}
 			window = append(window, b)
 			if incorrect {
-				// Remaining slots this cycle go down the wrong path.
-				continue
+				// The rest of the group goes down the mispredicted path:
+				// pure waste.
+				st.Misses++
+				wrongPath = true
+				st.WrongPath += uint64(cfg.FetchWidth - slot)
+				break
 			}
 		}
 	}

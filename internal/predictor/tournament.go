@@ -14,31 +14,17 @@ func init() {
 }
 
 // Tournament is McFarling's combining predictor: two component predictors
-// and a chooser table of 2-bit counters indexed by PC. The chooser trains
-// toward whichever component was correct when they disagree. The paper's
-// hybrid-selector application (§1, application 3) replaces this ad hoc
-// chooser with an explicit confidence comparison; see internal/apps.
+// and a Chooser. The paper's hybrid-selector application (§1, application
+// 3) replaces this ad hoc chooser with an explicit confidence comparison;
+// see internal/apps.
 type Tournament struct {
 	a, b    Predictor
-	chooser []bitvec.SatCounter
-	bits    uint
+	chooser *Chooser
 }
 
 // NewTournament combines predictors a and b with a 2^bits-entry chooser.
-// Chooser state >= 2 selects b.
 func NewTournament(a, b Predictor, bits uint) *Tournament {
-	if bits == 0 || bits > 24 {
-		panic(fmt.Sprintf("predictor: tournament chooser bits %d out of range [1,24]", bits))
-	}
-	t := &Tournament{a: a, b: b, chooser: make([]bitvec.SatCounter, 1<<bits), bits: bits}
-	t.resetChooser()
-	return t
-}
-
-func (t *Tournament) resetChooser() {
-	for i := range t.chooser {
-		t.chooser[i] = bitvec.TwoBit(bitvec.WeaklyTaken) // weakly prefer b
-	}
+	return &Tournament{a: a, b: b, chooser: NewChooser(bits)}
 }
 
 // Components returns the two combined predictors (a, b).
@@ -46,24 +32,16 @@ func (t *Tournament) Components() (Predictor, Predictor) { return t.a, t.b }
 
 // Predict selects between the component predictions using the chooser.
 func (t *Tournament) Predict(r trace.Record) bool {
-	if t.chooser[bitvec.PCIndexBits(r.PC, t.bits)].PredictTaken() {
+	if t.chooser.PickB(r.PC) {
 		return t.b.Predict(r)
 	}
 	return t.a.Predict(r)
 }
 
-// Update trains both components and, when exactly one was correct, moves
-// the chooser toward it.
+// Update trains the chooser on both components' correctness, then both
+// components.
 func (t *Tournament) Update(r trace.Record) {
-	pa := t.a.Predict(r) == r.Taken
-	pb := t.b.Predict(r) == r.Taken
-	i := bitvec.PCIndexBits(r.PC, t.bits)
-	switch {
-	case pb && !pa:
-		t.chooser[i] = t.chooser[i].Inc()
-	case pa && !pb:
-		t.chooser[i] = t.chooser[i].Dec()
-	}
+	t.chooser.Train(r.PC, t.a.Predict(r) == r.Taken, t.b.Predict(r) == r.Taken)
 	t.a.Update(r)
 	t.b.Update(r)
 }
@@ -72,10 +50,54 @@ func (t *Tournament) Update(r trace.Record) {
 func (t *Tournament) Reset() {
 	t.a.Reset()
 	t.b.Reset()
-	t.resetChooser()
+	t.chooser.Reset()
 }
 
 // Name implements Predictor.
 func (t *Tournament) Name() string {
 	return fmt.Sprintf("tournament(%s,%s)", t.a.Name(), t.b.Name())
+}
+
+// Chooser is McFarling's component selector: a table of 2-bit counters
+// indexed by PC, trained toward whichever component was correct when they
+// disagree. It needs only the two components' correctness, so models that
+// hold the components' mispredict lanes drive it without the predictors.
+type Chooser struct {
+	table []bitvec.SatCounter
+	bits  uint
+}
+
+// NewChooser returns a 2^bits-entry chooser. Counter state >= 2 selects
+// component b.
+func NewChooser(bits uint) *Chooser {
+	if bits == 0 || bits > 24 {
+		panic(fmt.Sprintf("predictor: tournament chooser bits %d out of range [1,24]", bits))
+	}
+	c := &Chooser{table: make([]bitvec.SatCounter, 1<<bits), bits: bits}
+	c.Reset()
+	return c
+}
+
+// PickB reports whether the chooser selects component b for this PC.
+func (c *Chooser) PickB(pc uint64) bool {
+	return c.table[bitvec.PCIndexBits(pc, c.bits)].PredictTaken()
+}
+
+// Train moves the PC's counter toward the component that was correct when
+// exactly one was.
+func (c *Chooser) Train(pc uint64, aCorrect, bCorrect bool) {
+	i := bitvec.PCIndexBits(pc, c.bits)
+	switch {
+	case bCorrect && !aCorrect:
+		c.table[i] = c.table[i].Inc()
+	case aCorrect && !bCorrect:
+		c.table[i] = c.table[i].Dec()
+	}
+}
+
+// Reset restores every counter to weakly preferring b.
+func (c *Chooser) Reset() {
+	for i := range c.table {
+		c.table[i] = bitvec.TwoBit(bitvec.WeaklyTaken)
+	}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"branchconf/internal/artifact"
+	"branchconf/internal/core"
 	"branchconf/internal/memo"
 	"branchconf/internal/predictor"
 	"branchconf/internal/trace"
@@ -132,6 +133,21 @@ func annotatedFor(cfg SuiteConfig, spec workload.Spec, predKey string, newPred f
 	e.Val = ann
 	annCache.Finish(e, ann.Footprint())
 	return flat, ann, e.Err
+}
+
+// Lanes returns one benchmark's per-branch lanes under one predictor
+// config — the flat view and the annotated stream and, when geom is
+// non-nil, geom's bucket stream — through the same single-flight annotated
+// and bucket-stream tiers the suite passes use. The cycle and application
+// models read these lanes instead of walking a predictor: a lane a pass
+// already built is a hit, and one built here is a hit for later passes.
+func Lanes(cfg SuiteConfig, spec workload.Spec, predKey string, newPred func() predictor.Predictor, geom core.Factorable) (*trace.FlatView, *AnnotatedStream, *BucketStream, error) {
+	flat, ann, err := annotatedFor(cfg, spec, predKey, newPred)
+	if err != nil || geom == nil {
+		return flat, ann, nil, err
+	}
+	bs, err := bucketStreamFor(cfg, spec, predKey, flat, ann, geom)
+	return flat, ann, bs, err
 }
 
 // annArtifactKey is the canonical disk-store key for one annotated stream:

@@ -52,6 +52,10 @@ func (b *BucketStream) Len() int { return b.n }
 // bulk consumers use the histogram).
 func (b *BucketStream) Bucket(i int) uint64 { return b.lane.At(i) }
 
+// Lane returns the packed per-branch bucket lane. Like Stats it is shared
+// and must be treated as read-only.
+func (b *BucketStream) Lane() *bitvec.Dense { return b.lane }
+
 // Stats returns the base histogram for use as a Result's bucket
 // statistics. The map is shared by every variant served from this stream
 // (and by the stream cache) and must be treated as read-only — which every
