@@ -18,11 +18,11 @@ import (
 // behaves like a fresh process and must go through the disk store (or
 // regenerate) rather than hitting the memos warmed by a previous run.
 func resetEngineCaches() {
-	workload.ResetMaterializeCache()
-	sim.ResetAnnotatedCache()
-	sim.ResetBucketCache()
-	exp.ResetCurveCache()
-	exp.ResetModelCache()
+	workload.TraceTier.Reset()
+	sim.AnnotatedTier.Reset()
+	sim.BucketTier.Reset()
+	exp.CurveTier.Reset()
+	exp.ModelTier.Reset()
 }
 
 // cacheTier extracts one tier's counters from -cache-stats output.

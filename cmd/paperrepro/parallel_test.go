@@ -1,6 +1,7 @@
 package main
 
 import (
+	"regexp"
 	"strings"
 	"testing"
 	"time"
@@ -96,10 +97,11 @@ func TestReportCacheStats(t *testing.T) {
 	stubClock(t)
 	var out, errW strings.Builder
 	err := writeReport(&out, &errW, reportConfig{
-		branches: 20000,
-		filter:   map[string]bool{"fig2": true, "fig5": true},
-		progress: true,
-		parallel: 2,
+		branches:   20000,
+		filter:     map[string]bool{"fig2": true, "fig5": true},
+		progress:   true,
+		parallel:   2,
+		cacheStats: true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -108,5 +110,16 @@ func TestReportCacheStats(t *testing.T) {
 	if !strings.Contains(progress, "pass cache:") || !strings.Contains(progress, "trace cache:") ||
 		!strings.Contains(progress, "annotated cache:") {
 		t.Fatalf("progress output missing cache stats:\n%s", progress)
+	}
+	// Each progress-line tier reads the same counts as its -cache-stats row.
+	for label, tier := range map[string]string{
+		"trace cache": "trace-memo", "annotated cache": "annotated-stream", "bucket cache": "bucket-stream",
+		"model cache": "model-stats", "curve cache": "curve", "artifact disk": "artifact-disk",
+	} {
+		line := regexp.MustCompile(label + `: (\d+) hits, (\d+) misses`).FindStringSubmatch(progress)
+		row := regexp.MustCompile(`cache-stats ` + tier + ` +hits=(\d+) misses=(\d+) `).FindStringSubmatch(progress)
+		if line == nil || row == nil || line[1] != row[1] || line[2] != row[2] {
+			t.Errorf("progress %q reads %v, -cache-stats row %q reads %v", label, line, tier, row)
+		}
 	}
 }

@@ -34,8 +34,7 @@ func serveMain(args []string, stdout, errW io.Writer) error {
 	var (
 		listen        = fs.String("listen", "127.0.0.1:8091", "listen address (host:port; port 0 picks a free port, printed on stderr)")
 		parallel      = fs.Int("parallel", runtime.NumCPU(), "max concurrent experiments within one request, and the process-wide simulation-unit bound")
-		annCacheMB    = fs.Uint64("annotate-cache-mb", 256, "resident bound for the annotated-stream cache in MiB (0 = unbounded)")
-		bucketCacheMB = fs.Int64("bucket-cache-mb", -1, "resident bound for the bucket-stream cache in MiB (0 = unbounded, -1 = follow -annotate-cache-mb)")
+		annCacheMB    = fs.Uint64("annotate-cache-mb", 256, "resident bound in MiB for each in-memory engine cache tier: annotated streams with their flat views, bucket streams, model stats, curves (0 = unbounded)")
 		noAnnotate    = fs.Bool("no-annotate", false, "disable the two-stage annotated engine (byte-identical, for benchmarking)")
 		noTally       = fs.Bool("no-tally", false, "disable the stage-3 tally engine (byte-identical, for benchmarking)")
 		noCurveArt    = fs.Bool("no-curve-artifact", false, "disable the curve memo/disk tier (byte-identical, for A/B benchmarking)")
@@ -103,13 +102,7 @@ func serveMain(args []string, stdout, errW io.Writer) error {
 		defer artifact.SetDefault(nil)
 		defer store.Close()
 	}
-	sim.SetAnnotatedCacheBound(*annCacheMB << 20)
-	sim.SetTallyCacheDefaultBound(*annCacheMB << 20)
-	exp.SetCurveCacheDefaultBound(*annCacheMB << 20)
-	exp.SetModelCacheDefaultBound(*annCacheMB << 20)
-	if *bucketCacheMB >= 0 {
-		sim.SetBucketCacheBound(uint64(*bucketCacheMB) << 20)
-	}
+	exp.SetCacheBound(*annCacheMB << 20)
 	sim.SetParallelism(*parallel)
 	sim.ResetStreamStats()
 	if *cacheStats {

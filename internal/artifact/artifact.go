@@ -4,14 +4,14 @@
 // streams and bucket streams (internal/sim), and sorted confidence curves
 // (internal/exp) — across process runs.
 //
-// The in-memory tiers (the materialize memo in internal/workload and the
-// annotated/bucket byteLRUs in internal/sim) make intra-process reuse nearly
-// free, but every process invocation still pays the full cold path before
-// they help: the synthetic walk per benchmark and one predictor pass per
-// (benchmark, predictor config). This package turns that into a warm start:
-// each in-memory miss path consults the store before regenerating, and
-// publishes what it built afterwards, so a second `paperrepro` run against
-// the same artifact directory skips stages 0–2 entirely.
+// The in-memory tiers (the memo.Tier instances in internal/workload,
+// internal/sim and internal/exp) make intra-process reuse nearly free, but
+// every process invocation still pays the full cold path before they help:
+// the synthetic walk per benchmark and one predictor pass per (benchmark,
+// predictor config). This package turns that into a warm start: each
+// in-memory miss path consults the store before regenerating (Load), and
+// publishes what it built afterwards (Save), so a second `paperrepro` run
+// against the same artifact directory skips stages 0–2 entirely.
 //
 // Entries are keyed by a canonical string covering everything the payload is
 // a pure function of — the workload spec, the branch budget, the predictor
@@ -113,6 +113,40 @@ func SetDefault(s *Store) { defaultStore.Store(s) }
 // Default returns the process-wide store, or nil when the disk tier is
 // disabled.
 func Default() *Store { return defaultStore.Load() }
+
+// Load returns the payload stored under (kind, key) in the default store,
+// decoded. A disabled store or an absent record is a miss. A record that
+// passed the store's checksum but fails decode, or fails valid (nil accepts
+// every decoded value), is corrupt for this caller: it is dropped, so the
+// next Get misses too, and Load reports a miss for the caller to rebuild.
+func Load[T any](kind uint16, key string, decode func([]byte) (T, error), valid func(T) bool) (T, bool) {
+	var zero T
+	s := Default()
+	if s == nil {
+		return zero, false
+	}
+	payload, ok := s.Get(kind, key)
+	if !ok {
+		return zero, false
+	}
+	v, err := decode(payload)
+	if err != nil || (valid != nil && !valid(v)) {
+		s.Drop(kind, key)
+		return zero, false
+	}
+	return v, true
+}
+
+// Save publishes a payload to the default store under (kind, key), best
+// effort: encode runs only when a store is set, and a failed write only
+// costs the next process a cold start. The store owns retry and
+// degradation (TierStats.Degraded), so its error is deliberately ignored
+// here — failure policy lives in one place, the store.
+func Save(kind uint16, key string, encode func() []byte) {
+	if s := Default(); s != nil {
+		_ = s.Put(kind, key, encode())
+	}
+}
 
 // Report returns the default store's counters, or a zero quad when the disk
 // tier is disabled.

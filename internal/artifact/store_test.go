@@ -330,6 +330,11 @@ func TestDefaultStore(t *testing.T) {
 	if Default() != nil {
 		t.Fatal("default store unexpectedly set")
 	}
+	decode := func(b []byte) (string, error) { return string(b), nil }
+	if _, ok := Load(KindReplayBuffer, "k", decode, nil); ok {
+		t.Fatal("Load hit with no default store")
+	}
+	Save(KindReplayBuffer, "k", func() []byte { t.Fatal("Save encoded with no default store"); return nil })
 	s, err := Open(t.TempDir(), 0)
 	if err != nil {
 		t.Fatal(err)
@@ -344,6 +349,41 @@ func TestDefaultStore(t *testing.T) {
 	}
 	if got := Report(); got.Misses != 0 || got.ResidentBytes == 0 {
 		t.Fatalf("Report = %+v", got)
+	}
+}
+
+// TestLoadDropsInvalid: Load serves a record that decodes and validates,
+// and drops one that fails either, so the store's next Get misses too.
+func TestLoadDropsInvalid(t *testing.T) {
+	s, err := Open(t.TempDir(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	SetDefault(s)
+	defer SetDefault(nil)
+	decode := func(b []byte) (string, error) {
+		if len(b) == 0 {
+			return "", fmt.Errorf("empty payload")
+		}
+		return string(b), nil
+	}
+	fresh := func(v string) bool { return v != "stale" }
+	Save(KindCurve, "good", func() []byte { return []byte("v") })
+	Save(KindCurve, "undecodable", func() []byte { return nil })
+	Save(KindCurve, "invalid", func() []byte { return []byte("stale") })
+	if v, ok := Load(KindCurve, "good", decode, fresh); !ok || v != "v" {
+		t.Fatalf("Load of a valid record: %q, %v", v, ok)
+	}
+	for _, key := range []string{"undecodable", "invalid"} {
+		if v, ok := Load(KindCurve, key, decode, fresh); ok {
+			t.Fatalf("Load served %q from the %s record", v, key)
+		}
+		if _, ok := s.Get(KindCurve, key); ok {
+			t.Fatalf("the %s record was not dropped", key)
+		}
+	}
+	if _, ok := Load(KindCurve, "absent", decode, nil); ok {
+		t.Fatal("Load hit an absent record")
 	}
 }
 

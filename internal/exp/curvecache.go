@@ -9,12 +9,10 @@ import (
 	"math"
 	"runtime/pprof"
 	"sync"
-	"sync/atomic"
 
 	"branchconf/internal/analysis"
 	"branchconf/internal/artifact"
 	"branchconf/internal/memo"
-	"branchconf/internal/sim"
 )
 
 // The curve tier: sorted confidence curves are pure functions of the
@@ -40,44 +38,9 @@ import (
 // for A/B runs; results are byte-identical either way because the codec
 // round-trips every float through its exact bit pattern.
 
-// curveCache is the process-wide curve memo, a sibling of the annotated
-// and bucket-stream byteLRUs. Its resident bound follows the annotated
-// budget unless SetCurveCacheBound overrides it.
-var curveCache memo.ByteLRU
-
-var curveCounts memo.Counters
-
-// curveBoundOverridden records an explicit SetCurveCacheBound call, after
-// which SetCurveCacheDefaultBound no longer tracks the annotated bound.
-var curveBoundOverridden atomic.Bool
-
-// SetCurveCacheBound bounds the resident payload bytes of the curve cache,
-// overriding the default of following the annotated cache's bound. 0
-// removes the bound.
-func SetCurveCacheBound(bytes uint64) {
-	curveBoundOverridden.Store(true)
-	curveCache.SetBound(bytes)
-}
-
-// SetCurveCacheDefaultBound points the curve cache at the shared
-// -annotate-cache-mb budget figure; an explicit SetCurveCacheBound wins.
-func SetCurveCacheDefaultBound(bytes uint64) {
-	if !curveBoundOverridden.Load() {
-		curveCache.SetBound(bytes)
-	}
-}
-
-// CurveCacheReport returns the curve cache's observability quad.
-func CurveCacheReport() artifact.TierStats {
-	return sim.CacheReport(&curveCounts, &curveCache)
-}
-
-// ResetCurveCache drops every cached curve and zeroes the counters. The
-// bound (and whether it was overridden) is retained.
-func ResetCurveCache() {
-	curveCache.Reset()
-	curveCounts.Reset()
-}
+// CurveTier is the process-wide curve memo, a sibling of the annotated and
+// bucket-stream tiers under the same resident bound (SetCacheBound).
+var CurveTier memo.Tier
 
 // RunSet is the per-run tallies a CurveSet composites, plus their
 // HashRun digests: a resident pass's stored digests, or — when digests is
@@ -201,21 +164,21 @@ func (c *CurveSet) curve(desc string, fn func(uint64) uint64) analysis.Curve {
 		return c.build(fn)
 	}
 	key := curveArtifactKey(c.contentHash(), c.mode, desc)
-	e, o := curveCache.Claim(key)
-	curveCounts.Count(o)
-	if o != memo.Miss {
-		<-e.Done
-		cv, _ := e.Val.(analysis.Curve)
-		return cv
-	}
-	cv, fromDisk := curveFromDisk(key)
-	if !fromDisk {
-		cv = c.build(fn)
-		curveToDisk(key, cv)
-	}
-	e.Val = cv
-	curveCache.Finish(e, uint64(len(cv))*curvePointWire)
-	return cv
+	v, _ := CurveTier.Get(key, func() (any, uint64, error) {
+		// ok distinguishes a served curve (possibly nil: empty curves are
+		// legitimate) from a miss.
+		var cv analysis.Curve
+		var ok bool
+		pprof.Do(context.Background(), pprof.Labels("stage", "curve-load"), func(context.Context) {
+			cv, ok = artifact.Load(artifact.KindCurve, key, unmarshalCurve, nil)
+		})
+		if !ok {
+			cv = c.build(fn)
+			artifact.Save(artifact.KindCurve, key, func() []byte { return marshalCurve(cv) })
+		}
+		return cv, uint64(len(cv)) * curvePointWire, nil
+	})
+	return v.(analysis.Curve)
 }
 
 // curveKeyScheme tags how the tally content hash in a curve key is
@@ -283,37 +246,4 @@ func unmarshalCurve(data []byte) (analysis.Curve, error) {
 		}
 	}
 	return cv, nil
-}
-
-// curveFromDisk consults the persistent artifact tier on an in-memory
-// miss. ok distinguishes a served curve (possibly nil — empty curves are
-// legitimate) from a miss; a record failing the type-level decode is
-// dropped fail-closed and rebuilt.
-func curveFromDisk(key string) (cv analysis.Curve, ok bool) {
-	s := artifact.Default()
-	if s == nil {
-		return nil, false
-	}
-	pprof.Do(context.Background(), pprof.Labels("stage", "curve-load"), func(context.Context) {
-		payload, got := s.Get(artifact.KindCurve, key)
-		if !got {
-			return
-		}
-		dec, err := unmarshalCurve(payload)
-		if err != nil {
-			s.Drop(artifact.KindCurve, key)
-			return
-		}
-		cv, ok = dec, true
-	})
-	return cv, ok
-}
-
-// curveToDisk publishes a freshly built curve to the persistent tier, best
-// effort; the store owns retry and degradation, so its error is
-// deliberately ignored.
-func curveToDisk(key string, cv analysis.Curve) {
-	if s := artifact.Default(); s != nil {
-		_ = s.Put(artifact.KindCurve, key, marshalCurve(cv))
-	}
 }

@@ -12,7 +12,6 @@ import (
 
 	"branchconf/internal/analysis"
 	"branchconf/internal/core"
-	"branchconf/internal/memo"
 	"branchconf/internal/sim"
 	"branchconf/internal/workload"
 )
@@ -154,9 +153,9 @@ func deepCopy(runs []analysis.BucketStats) []analysis.BucketStats {
 // from the maps) must produce the same key, for whole passes, picked
 // subsets and single runs — keys follow content, never map identity.
 func TestCurveKeyFollowsContent(t *testing.T) {
-	sim.ResetAnnotatedCache()
-	defer sim.ResetAnnotatedCache()
-	defer workload.ResetMaterializeCache()
+	sim.AnnotatedTier.Reset()
+	defer sim.AnnotatedTier.Reset()
+	defer workload.TraceTier.Reset()
 	s := NewSession(Config{Branches: 3000, NoCurveArtifact: true})
 	p, err := s.SuiteOne(predGshare64K, mechOneLevel(core.IndexPCxorBHR))
 	if err != nil {
@@ -192,14 +191,14 @@ func TestCurveTierCounters(t *testing.T) {
 }
 
 func testCurveTierCounters(t *testing.T) {
-	ResetCurveCache()
-	defer ResetCurveCache()
-	sim.ResetAnnotatedCache()
-	defer sim.ResetAnnotatedCache()
-	defer workload.ResetMaterializeCache()
+	CurveTier.Reset()
+	defer CurveTier.Reset()
+	sim.AnnotatedTier.Reset()
+	defer sim.AnnotatedTier.Reset()
+	defer workload.TraceTier.Reset()
 	want := func(stage string, hits, misses, coalesced uint64) {
 		t.Helper()
-		st := CurveCacheReport()
+		st := CurveTier.Stats()
 		if st.Hits != hits || st.Misses != misses || st.Coalesced != coalesced {
 			t.Fatalf("%s: curve tier hits=%d misses=%d coalesced=%d, want %d/%d/%d",
 				stage, st.Hits, st.Misses, st.Coalesced, hits, misses, coalesced)
@@ -225,14 +224,14 @@ func testCurveTierCounters(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	st := CurveCacheReport()
+	st := CurveTier.Stats()
 	if st.Misses != 7 || st.Hits+st.Coalesced != 1 {
 		t.Fatalf("concurrent cold run: hits=%d coalesced=%d misses=%d, want 7 misses and one shared claim",
 			st.Hits, st.Coalesced, st.Misses)
 	}
 
 	// Fresh curve sets over the resident passes hit every finished curve.
-	ResetCurveCache()
+	CurveTier.Reset()
 	p, err := s.SuiteOne(predGshare64K, mechOneLevel(core.IndexPCxorBHR))
 	if err != nil {
 		t.Fatal(err)
@@ -247,10 +246,18 @@ func testCurveTierCounters(t *testing.T) {
 	// Waiters parked on an in-flight build are coalesced, not hits.
 	ones := func(b uint64) uint64 { return uint64(bits.OnesCount64(b)) }
 	cs := s.Pooled(p.Tallies())
-	e, o := curveCache.Claim(curveArtifactKey(cs.contentHash(), "pooled", "1cnt"))
-	if o != memo.Miss {
-		t.Fatal("test could not own the in-flight build")
-	}
+	built := cs.build(ones)
+	owned, release := make(chan struct{}), make(chan struct{})
+	wg.Add(1)
+	go func() { // the test owns the build, uncounted, until the waiters park
+		defer wg.Done()
+		CurveTier.GetUncounted(curveArtifactKey(cs.contentHash(), "pooled", "1cnt"), func() (any, uint64, error) {
+			close(owned)
+			<-release
+			return built, uint64(len(built)) * curvePointWire, nil
+		})
+	}()
+	<-owned
 	const waiters = 3
 	got := make([]analysis.Curve, waiters)
 	for g := 0; g < waiters; g++ {
@@ -260,12 +267,10 @@ func testCurveTierCounters(t *testing.T) {
 			got[g] = s.Pooled(p.Tallies()).Merged("1cnt", ones)
 		}()
 	}
-	for CurveCacheReport().Coalesced < waiters {
+	for CurveTier.Stats().Coalesced < waiters {
 		runtime.Gosched()
 	}
-	built := cs.build(ones)
-	e.Val = built
-	curveCache.Finish(e, uint64(len(built))*curvePointWire)
+	close(release)
 	wg.Wait()
 	want("in flight", 1, 1, waiters)
 	for g := range got {

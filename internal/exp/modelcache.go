@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"runtime/pprof"
-	"sync/atomic"
 
 	"branchconf/internal/artifact"
 	"branchconf/internal/bitvec"
@@ -29,7 +28,7 @@ import (
 //
 // On a warm run the models are the largest remaining cost — no stage-0..2
 // artifact can skip a cycle model — so their count vectors memoize and
-// persist exactly like curves: a process-wide byteLRU in front of a
+// persist exactly like curves: a process-wide memo.Tier in front of a
 // KindModelStats disk artifact, keyed by everything the counts are a pure
 // function of. The key names the workload, budget, predictor, estimator and
 // machine, not the lanes' content: a key over lane hashes would force every
@@ -43,41 +42,10 @@ import (
 // this constant is the only invalidation handle.
 const modelVersion = 1
 
-// modelCache is the process-wide model-stats memo. Entries are a few
-// hundred bytes each; the bound exists for symmetry with the other tiers
-// and follows the annotated budget unless overridden.
-var modelCache memo.ByteLRU
-
-var modelCounts memo.Counters
-
-var modelBoundOverridden atomic.Bool
-
-// SetModelCacheBound bounds the resident payload bytes of the model cache,
-// overriding the default of following the annotated cache's bound. 0
-// removes the bound.
-func SetModelCacheBound(bytes uint64) {
-	modelBoundOverridden.Store(true)
-	modelCache.SetBound(bytes)
-}
-
-// SetModelCacheDefaultBound points the model cache at the shared
-// -annotate-cache-mb budget figure; an explicit SetModelCacheBound wins.
-func SetModelCacheDefaultBound(bytes uint64) {
-	if !modelBoundOverridden.Load() {
-		modelCache.SetBound(bytes)
-	}
-}
-
-// ModelCacheReport returns the model cache's observability quad.
-func ModelCacheReport() artifact.TierStats {
-	return sim.CacheReport(&modelCounts, &modelCache)
-}
-
-// ResetModelCache drops every cached model result and zeroes the counters.
-func ResetModelCache() {
-	modelCache.Reset()
-	modelCounts.Reset()
-}
+// ModelTier is the process-wide model-stats memo. Entries are a few
+// hundred bytes each; the bound (SetCacheBound) exists for symmetry with
+// the other tiers.
+var ModelTier memo.Tier
 
 // modelKey builds the canonical model-tier key: model version, model name,
 // workload spec, branch budget, and the model's full parameterisation.
@@ -105,35 +73,26 @@ func (s *Session) modelCounts(expID, key string, want int, build func(ctx contex
 	if s.cfg.NoModelArtifact {
 		return run()
 	}
-	e, o := modelCache.Claim(key)
-	modelCounts.Count(o)
-	if o != memo.Miss {
-		<-e.Done
-		if e.Err != nil {
-			return nil, e.Err
+	v, err := ModelTier.Get(key, func() (any, uint64, error) {
+		var counts []uint64
+		var ok bool
+		pprof.Do(context.Background(), pprof.Labels("stage", "model-load"), func(context.Context) {
+			counts, ok = artifact.Load(artifact.KindModelStats, key, unmarshalCounts,
+				func(counts []uint64) bool { return len(counts) == want })
+		})
+		if !ok {
+			var err error
+			if counts, err = run(); err != nil {
+				return nil, 0, err
+			}
+			artifact.Save(artifact.KindModelStats, key, func() []byte { return marshalCounts(counts) })
 		}
-		return e.Val.([]uint64), nil
+		return counts, uint64(len(counts)) * 8, nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	counts, ok := modelFromDisk(key)
-	if ok && len(counts) != want {
-		if st := artifact.Default(); st != nil {
-			st.Drop(artifact.KindModelStats, key)
-		}
-		ok = false
-	}
-	if !ok {
-		var err error
-		counts, err = run()
-		if err != nil {
-			e.Err = err
-			modelCache.Finish(e, 0)
-			return nil, err
-		}
-		modelToDisk(key, counts)
-	}
-	e.Val = counts
-	modelCache.Finish(e, uint64(len(counts))*8)
-	return counts, nil
+	return v.([]uint64), nil
 }
 
 // marshalCounts frames a count vector for the artifact tier.
@@ -163,35 +122,6 @@ func unmarshalCounts(data []byte) ([]uint64, error) {
 		counts[i] = binary.LittleEndian.Uint64(data[i*8:])
 	}
 	return counts, nil
-}
-
-// modelFromDisk consults the persistent tier on an in-memory miss; a record
-// failing the type-level decode is dropped fail-closed and re-run.
-func modelFromDisk(key string) (counts []uint64, ok bool) {
-	s := artifact.Default()
-	if s == nil {
-		return nil, false
-	}
-	pprof.Do(context.Background(), pprof.Labels("stage", "model-load"), func(context.Context) {
-		payload, got := s.Get(artifact.KindModelStats, key)
-		if !got {
-			return
-		}
-		dec, err := unmarshalCounts(payload)
-		if err != nil {
-			s.Drop(artifact.KindModelStats, key)
-			return
-		}
-		counts, ok = dec, true
-	})
-	return counts, ok
-}
-
-// modelToDisk publishes a freshly computed count vector, best effort.
-func modelToDisk(key string, counts []uint64) {
-	if s := artifact.Default(); s != nil {
-		_ = s.Put(artifact.KindModelStats, key, marshalCounts(counts))
-	}
 }
 
 // modelLanes fetches spec's lanes under pred for a model build through the

@@ -186,9 +186,9 @@ func TestModelLanesMatchReference(t *testing.T) {
 		t.Skip("walks every model over the suite at three budgets")
 	}
 	defer sim.SetParallelism(0)
-	defer sim.ResetAnnotatedCache()
-	defer sim.ResetBucketCache()
-	defer workload.ResetMaterializeCache()
+	defer sim.AnnotatedTier.Reset()
+	defer sim.BucketTier.Reset()
+	defer workload.TraceTier.Reset()
 	cases := modelCases()
 	for _, budget := range []uint64{1, 100_003, 200_000} {
 		ref := NewSession(Config{Branches: budget})
@@ -232,8 +232,8 @@ func TestModelLanesMatchReference(t *testing.T) {
 		for _, workers := range []int{1, runtime.NumCPU()} {
 			t.Run(fmt.Sprintf("n=%d/workers=%d", budget, workers), func(t *testing.T) {
 				sim.SetParallelism(workers)
-				sim.ResetAnnotatedCache()
-				sim.ResetBucketCache()
+				sim.AnnotatedTier.Reset()
+				sim.BucketTier.Reset()
 				s := NewSession(Config{Branches: budget})
 				if _, err := s.Suite(predGshare4K, mechResetting, mechSmallReset12); err != nil {
 					t.Fatal(err)
@@ -274,10 +274,10 @@ func TestModelLanesMatchReference(t *testing.T) {
 // components) are annotated beforehand, so any new miss can only be a
 // gshare-4K walk.
 func TestModelsReadFig10Lanes(t *testing.T) {
-	defer sim.ResetAnnotatedCache()
-	defer sim.ResetBucketCache()
-	defer workload.ResetMaterializeCache()
-	sim.ResetAnnotatedCache()
+	defer sim.AnnotatedTier.Reset()
+	defer sim.BucketTier.Reset()
+	defer workload.TraceTier.Reset()
+	sim.AnnotatedTier.Reset()
 	s := NewSession(Config{Branches: 20_000, NoModelArtifact: true})
 	run := func(id string) {
 		t.Helper()
@@ -295,11 +295,11 @@ func TestModelsReadFig10Lanes(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	before := sim.AnnotatedCacheReport()
+	before := sim.AnnotatedTier.Stats()
 	for _, id := range []string{"pipeline", "gating", "apps"} {
 		run(id)
 	}
-	after := sim.AnnotatedCacheReport()
+	after := sim.AnnotatedTier.Stats()
 	if after.Misses != before.Misses {
 		t.Errorf("pipeline, gating and apps annotated %d streams after fig10", after.Misses-before.Misses)
 	}

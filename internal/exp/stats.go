@@ -2,6 +2,7 @@ package exp
 
 import (
 	"branchconf/internal/artifact"
+	"branchconf/internal/memo"
 	"branchconf/internal/sim"
 	"branchconf/internal/workload"
 )
@@ -24,23 +25,39 @@ type CacheTier struct {
 // reported by the caller that owns the session.
 func CacheTiers() []CacheTier {
 	return []CacheTier{
-		{Name: "trace-memo", Stats: workload.MaterializeReport()},
-		{Name: "annotated-stream", Stats: sim.AnnotatedCacheReport()},
-		{Name: "bucket-stream", Stats: sim.BucketCacheReport()},
-		{Name: "model-stats", Stats: ModelCacheReport()},
-		{Name: "curve", Stats: CurveCacheReport()},
+		{Name: "trace-memo", Stats: tierStats(&workload.TraceTier)},
+		{Name: "annotated-stream", Stats: tierStats(&sim.AnnotatedTier)},
+		{Name: "bucket-stream", Stats: tierStats(&sim.BucketTier)},
+		{Name: "model-stats", Stats: tierStats(&ModelTier)},
+		{Name: "curve", Stats: tierStats(&CurveTier)},
 		{Name: "artifact-disk", Stats: artifact.Report()},
 		// The streaming engine's segment counters ride the same quad: warm
 		// vs live segment payloads as hits/misses, forceLive unit retries as
 		// verify failures, and the in-flight segment-bytes high-water mark
-		// as resident bytes. Appended last so positional consumers of the
-		// original six tiers stay valid.
+		// as resident bytes.
 		{Name: "stream-segment", Stats: sim.StreamReport()},
 		// The remote artifact tier layered under the disk store. Its quad is
 		// remapped where disk columns have no network meaning: resident_bytes
 		// counts record bytes moved over the wire (both directions) and
 		// evictions counts write-behind Puts shed by a full queue or a
-		// degraded tier. Appended last, as above.
+		// degraded tier.
 		{Name: "remote-artifact", Stats: artifact.RemoteReport()},
+	}
+}
+
+// tierStats widens an in-memory tier's snapshot to the uniform quad; the
+// health columns stay zero.
+func tierStats(t *memo.Tier) artifact.TierStats {
+	st := t.Stats()
+	return artifact.TierStats{Hits: st.Hits, Misses: st.Misses, Coalesced: st.Coalesced, Evictions: st.Evictions, ResidentBytes: st.ResidentBytes}
+}
+
+// SetCacheBound bounds the resident payload bytes of each in-memory engine
+// tier — annotated streams with their flat views, bucket streams, model
+// stats and curves — at bytes apiece; 0 removes the bounds. The trace memo
+// is never bounded.
+func SetCacheBound(bytes uint64) {
+	for _, t := range []*memo.Tier{&sim.AnnotatedTier, &sim.BucketTier, &ModelTier, &CurveTier} {
+		t.SetBound(bytes)
 	}
 }

@@ -1,8 +1,12 @@
-// Package memo provides the process-wide cache shape shared by the
-// engine's memoized artifacts (flat views, annotated streams, bucket
-// streams in internal/sim; confidence curves in internal/exp): a
-// claim-or-wait map with a resident-bytes bound and least-recently-used
-// eviction, plus the per-tier claim counters every tier reports.
+// Package memo provides the one cache-tier type the engine's memoized
+// artifacts share. A Tier — materialized traces in internal/workload,
+// annotated streams (with their flat views) and bucket streams in
+// internal/sim, model-stats vectors and confidence curves in internal/exp,
+// the daemon's rendered reports in internal/serve — is a claim-or-wait map
+// with a resident-bytes bound and least-recently-used eviction (ByteLRU),
+// plus the claim counters (Counters) every tier reports, behind one Get
+// that claims, counts, waits or builds, and publishes. A session's batch
+// pass claim (internal/exp) drives ByteLRU and Counters directly.
 package memo
 
 import (

@@ -265,15 +265,11 @@ func partialArtifactKey(req ReportRequest, sh Shard) string {
 // machine can collect it. Reports whether a store was configured; the Put
 // itself is the store's usual best-effort contract.
 func PublishPartial(p *PartialReport) bool {
-	store := artifact.Default()
-	if store == nil {
-		return false
-	}
 	sh, err := ParseShard(p.Shard)
-	if err != nil {
+	if err != nil || artifact.Default() == nil {
 		return false
 	}
-	_ = store.Put(artifact.KindPartial, partialArtifactKey(p.Request, sh), p.Encode())
+	artifact.Save(artifact.KindPartial, partialArtifactKey(p.Request, sh), p.Encode)
 	return true
 }
 
@@ -282,19 +278,6 @@ func PublishPartial(p *PartialReport) bool {
 // that fails to decode or does not match its key is dropped fail-closed
 // and reported as a miss, like any corrupt artifact.
 func FetchPartial(req ReportRequest, sh Shard) (*PartialReport, bool) {
-	store := artifact.Default()
-	if store == nil {
-		return nil, false
-	}
-	key := partialArtifactKey(req, sh)
-	payload, ok := store.Get(artifact.KindPartial, key)
-	if !ok {
-		return nil, false
-	}
-	p, err := DecodePartial(payload)
-	if err != nil || p.Shard != sh.String() || p.Request.Key() != req.Key() {
-		store.Drop(artifact.KindPartial, key)
-		return nil, false
-	}
-	return p, true
+	return artifact.Load(artifact.KindPartial, partialArtifactKey(req, sh), DecodePartial,
+		func(p *PartialReport) bool { return p.Shard == sh.String() && p.Request.Key() == req.Key() })
 }

@@ -69,13 +69,12 @@ type Server struct {
 	cfg     Config
 	pool    *exp.SessionPool
 	adm     *Admission
-	reports memo.ByteLRU
+	reports memo.Tier // rendered deterministic reports
 	mux     *http.ServeMux
 
 	requestsTotal  atomic.Uint64
 	requestsOK     atomic.Uint64
 	requestsFailed atomic.Uint64
-	reportCounts   memo.Counters // rendered-report cache claims
 	pressureEvents atomic.Uint64
 
 	janitorStop chan struct{}
@@ -160,7 +159,7 @@ func (s *Server) janitor() {
 				continue
 			}
 			s.pool.Trim()
-			s.reports.Reset()
+			s.reports.Release()
 			s.pressureEvents.Add(1)
 			runtime.GC()
 		}
@@ -235,24 +234,16 @@ func (s *Server) report(ctx context.Context, req ReportRequest) (_ []byte, cache
 		b, err := s.build(ctx, req)
 		return b, false, err
 	}
-	e, o := s.reports.Claim(req.Key())
-	s.reportCounts.Count(o)
-	if o != memo.Miss {
-		<-e.Done
-		if e.Err != nil {
-			return nil, false, e.Err
-		}
-		return e.Val.([]byte), true, nil
-	}
-	b, err := s.build(ctx, req)
+	var built bool
+	v, err := s.reports.Get(req.Key(), func() (any, uint64, error) {
+		built = true
+		b, err := s.build(ctx, req)
+		return b, uint64(len(b)), err
+	})
 	if err != nil {
-		e.Err = err
-		s.reports.Finish(e, 0)
 		return nil, false, err
 	}
-	e.Val = b
-	s.reports.Finish(e, uint64(len(b)))
-	return b, false, nil
+	return v.([]byte), !built, nil
 }
 
 // build renders one report against the pooled session for the request's
@@ -292,14 +283,14 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	snap := SnapshotCacheStats(pass, s.cfg.HeapStats)
 	inflight, queued := s.adm.Gauges()
 	full, timeout, draining := s.adm.Rejections()
-	hits, misses, coalesced := s.reportCounts.Load()
+	reports := s.reports.Stats()
 	snap.Server = &ServerStatsJSON{
 		RequestsTotal:        s.requestsTotal.Load(),
 		RequestsOK:           s.requestsOK.Load(),
 		RequestsFailed:       s.requestsFailed.Load(),
-		ReportCacheHits:      hits,
-		ReportCacheMisses:    misses,
-		ReportCacheCoalesced: coalesced,
+		ReportCacheHits:      reports.Hits,
+		ReportCacheMisses:    reports.Misses,
+		ReportCacheCoalesced: reports.Coalesced,
 		Inflight:             inflight,
 		Queued:               queued,
 		RejectedFull:         full,

@@ -116,8 +116,8 @@ func TestServerCoalescesConcurrentRequests(t *testing.T) {
 			t.Fatalf("client %d got different bytes", g)
 		}
 	}
-	if hits, misses, coalesced := srv.reportCounts.Load(); misses != 1 || hits+coalesced != clients-1 {
-		t.Fatalf("report cache: hits %d, misses %d, coalesced %d; want 1 miss and %d others", hits, misses, coalesced, clients-1)
+	if st := srv.reports.Stats(); st.Misses != 1 || st.Hits+st.Coalesced != clients-1 {
+		t.Fatalf("report cache: hits %d, misses %d, coalesced %d; want 1 miss and %d others", st.Hits, st.Misses, st.Coalesced, clients-1)
 	}
 }
 
@@ -156,7 +156,7 @@ func TestServerReportCacheCountsCoalesced(t *testing.T) {
 	send(0)
 	waitFor("the first render to queue", func() bool { _, q := srv.adm.Gauges(); return q == 1 })
 	send(1)
-	waitFor("the second request to park", func() bool { _, _, co := srv.reportCounts.Load(); return co == 1 })
+	waitFor("the second request to park", func() bool { return srv.reports.Stats().Coalesced == 1 })
 	release()
 	wg.Wait()
 	for i, err := range errs {
@@ -194,7 +194,7 @@ func TestServerTimingRequestsBypassCache(t *testing.T) {
 			t.Fatalf("request %d with timings served from the report cache", i)
 		}
 	}
-	if hits, _, _ := srv.reportCounts.Load(); hits != 0 {
+	if hits := srv.reports.Stats().Hits; hits != 0 {
 		t.Fatalf("report-cache hits = %d for timing requests, want 0", hits)
 	}
 }

@@ -20,10 +20,11 @@ import (
 //   - annotated streams (mispredict + state bits, ~3/8 B/branch for gshare)
 //     are keyed by (spec, budget, predictor key).
 //
-// Both kinds live in one memo.ByteLRU instance, so they share a single
-// resident-bytes budget (SetAnnotatedCacheBound); the claim-or-wait and
-// LRU-eviction mechanics are the cache's. The stage-3 bucket-stream cache
-// (tally.go) is a sibling instance over the same machinery.
+// Both kinds live in one memo.Tier, AnnotatedTier, so they share a single
+// resident-bytes budget; the tier counts annotated-stream claims only (the
+// expensive artifact), one per (suite run, benchmark), while flat views
+// piggyback on the same keys one level up. The stage-3 bucket-stream tier
+// (tally.go) is a sibling instance.
 
 type flatKey struct {
 	spec workload.Spec
@@ -36,78 +37,30 @@ type annKey struct {
 	predKey string
 }
 
-var annCache memo.ByteLRU
-
-// Cache observability counters. They count annotated-stream claims (the
-// expensive artifact), one per (suite run, benchmark); flat views
-// piggyback on the same keys one level up.
-var annCounts memo.Counters
-
-// CacheStats is one cache's observability snapshot, as printed under the
-// paperrepro -cache-stats flag — the uniform hit/miss/eviction/resident
-// quad shared by every tier (the disk tier additionally moves the
-// verify-fail counter; in-memory tiers leave it zero).
-type CacheStats = artifact.TierStats
-
-// SetAnnotatedCacheBound bounds the resident payload bytes of the annotated
-// cache (flat views plus annotated streams). 0 removes the bound. When an
-// insertion pushes the cache over the bound, completed entries are evicted
-// least-recently-used first; a single entry larger than the bound is still
-// admitted (and becomes the next eviction candidate).
-func SetAnnotatedCacheBound(bytes uint64) {
-	annCache.SetBound(bytes)
-}
-
-// AnnotatedCacheReport returns the annotated cache's observability quad
-// (claims of annotated streams; resident bytes include the flat views
-// sharing the budget).
-func AnnotatedCacheReport() CacheStats {
-	return CacheReport(&annCounts, &annCache)
-}
-
-// CacheReport assembles one memo tier's observability snapshot from its
-// claim counters and its cache's usage.
-func CacheReport(c *memo.Counters, cache *memo.ByteLRU) CacheStats {
-	h, m, co := c.Load()
-	r, e := cache.Usage()
-	return CacheStats{Hits: h, Misses: m, Coalesced: co, Evictions: e, ResidentBytes: r}
-}
-
-// ResetAnnotatedCache drops every cached entry and zeroes the counters. The
-// bound is retained. Intended for tests and batch boundaries.
-func ResetAnnotatedCache() {
-	annCache.Reset()
-	annCounts.Reset()
-}
+// AnnotatedTier memoizes flat views and annotated streams.
+var AnnotatedTier memo.Tier
 
 // flatFor returns the shared flat view for (spec, budget), building it from
 // the suite's replay buffer on first use.
 func flatFor(cfg SuiteConfig, spec workload.Spec, n uint64) (*trace.FlatView, error) {
-	e, o := annCache.Claim(flatKey{spec: spec, n: n})
-	if o != memo.Miss {
-		<-e.Done
-		flat, _ := e.Val.(*trace.FlatView)
-		return flat, e.Err
-	}
-	var flat *trace.FlatView
-	buf, err := cfg.buffer(spec)
+	v, err := AnnotatedTier.GetUncounted(flatKey{spec: spec, n: n}, func() (any, uint64, error) {
+		buf, err := cfg.buffer(spec)
+		if err != nil {
+			return nil, 0, err
+		}
+		flat := buf.Flatten()
+		return flat, flat.Footprint(), nil
+	})
 	if err != nil {
-		e.Err = err
-	} else {
-		flat = buf.Flatten()
-		e.Val = flat
+		return nil, err
 	}
-	var bytes uint64
-	if flat != nil {
-		bytes = flat.Footprint()
-	}
-	annCache.Finish(e, bytes)
-	return flat, e.Err
+	return v.(*trace.FlatView), nil
 }
 
 // annotatedFor returns the (flat view, annotated stream) pair for one
 // benchmark under one predictor config, running the predictor stage only on
-// a cache miss. Concurrent claimants of the same key share one build.
+// a miss in both the tier and the artifact store. Concurrent claimants of
+// the same key share one build.
 func annotatedFor(cfg SuiteConfig, spec workload.Spec, predKey string, newPred func() predictor.Predictor) (*trace.FlatView, *AnnotatedStream, error) {
 	n := cfg.Branches
 	if n == 0 {
@@ -117,22 +70,22 @@ func annotatedFor(cfg SuiteConfig, spec workload.Spec, predKey string, newPred f
 	if err != nil {
 		return nil, nil, err
 	}
-
-	e, o := annCache.Claim(annKey{spec: spec, n: n, predKey: predKey})
-	annCounts.Count(o)
-	if o != memo.Miss {
-		<-e.Done
-		ann, _ := e.Val.(*AnnotatedStream)
-		return flat, ann, e.Err
+	v, err := AnnotatedTier.Get(annKey{spec: spec, n: n, predKey: predKey}, func() (any, uint64, error) {
+		// The decoded stream must cover exactly the flat view's branches;
+		// anything else is corruption.
+		key := annArtifactKey(spec, n, predKey)
+		ann, ok := artifact.Load(artifact.KindAnnotatedStream, key, unmarshalAnnotatedStream,
+			func(ann *AnnotatedStream) bool { return ann.n == flat.Len() })
+		if !ok {
+			ann = Annotate(flat, newPred())
+			artifact.Save(artifact.KindAnnotatedStream, key, func() []byte { return marshalAnnotatedStream(ann) })
+		}
+		return ann, ann.Footprint(), nil
+	})
+	if err != nil {
+		return nil, nil, err
 	}
-	ann := annotatedFromDisk(spec, n, predKey, flat)
-	if ann == nil {
-		ann = Annotate(flat, newPred())
-		annotatedToDisk(spec, n, predKey, ann)
-	}
-	e.Val = ann
-	annCache.Finish(e, ann.Footprint())
-	return flat, ann, e.Err
+	return flat, v.(*AnnotatedStream), nil
 }
 
 // Lanes returns one benchmark's per-branch lanes under one predictor
@@ -154,38 +107,4 @@ func Lanes(cfg SuiteConfig, spec workload.Spec, predKey string, newPred func() p
 // codec version, full spec identity, resolved budget, and predictor config.
 func annArtifactKey(spec workload.Spec, n uint64, predKey string) string {
 	return fmt.Sprintf("ann|v%d|%s|n=%d|pred=%s", artifact.FormatVersion, spec.CacheKey(), n, predKey)
-}
-
-// annotatedFromDisk consults the persistent artifact tier on an in-memory
-// miss, returning nil when the tier is disabled, cold, or fails
-// verification (the predictor stage then runs as usual). The decoded
-// stream must cover exactly the flat view's branches; anything else is
-// treated as corruption and dropped.
-func annotatedFromDisk(spec workload.Spec, n uint64, predKey string, flat *trace.FlatView) *AnnotatedStream {
-	s := artifact.Default()
-	if s == nil {
-		return nil
-	}
-	key := annArtifactKey(spec, n, predKey)
-	payload, ok := s.Get(artifact.KindAnnotatedStream, key)
-	if !ok {
-		return nil
-	}
-	ann, err := unmarshalAnnotatedStream(payload)
-	if err != nil || ann.n != flat.Len() {
-		s.Drop(artifact.KindAnnotatedStream, key)
-		return nil
-	}
-	return ann
-}
-
-// annotatedToDisk publishes a freshly annotated stream to the persistent
-// tier, best effort: write failures only cost the next process a cold
-// start. The store retries transient faults and degrades itself after
-// repeated ones (artifact.TierStats.Degraded), so the error is deliberately
-// ignored here — failure policy lives in one place, the store.
-func annotatedToDisk(spec workload.Spec, n uint64, predKey string, ann *AnnotatedStream) {
-	if s := artifact.Default(); s != nil {
-		_ = s.Put(artifact.KindAnnotatedStream, annArtifactKey(spec, n, predKey), marshalAnnotatedStream(ann))
-	}
 }

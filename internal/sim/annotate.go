@@ -37,7 +37,7 @@ import (
 // predictor-config) pair: one mispredict bit per branch, plus an optional
 // packed lane of pre-update predictor state for StateCoupled mechanisms.
 // At 2 state bits (gshare) the stream costs 3/8 byte per branch — small
-// enough to memoize per predictor config (see SetAnnotatedCacheBound).
+// enough to memoize per predictor config (see AnnotatedTier).
 //
 // A fully built stream is immutable and safe for concurrent replays.
 type AnnotatedStream struct {

@@ -158,9 +158,9 @@ func TestRunSuiteAnnotatedMatchesBatch(t *testing.T) {
 }
 
 func testRunSuiteAnnotatedMatchesBatch(t *testing.T) {
-	defer ResetAnnotatedCache()
-	defer workload.ResetMaterializeCache()
-	ResetAnnotatedCache()
+	defer AnnotatedTier.Reset()
+	defer workload.TraceTier.Reset()
+	AnnotatedTier.Reset()
 	cfg := SuiteConfig{Branches: 8000}
 	newPred := func() predictor.Predictor { return predictor.Gshare64K() }
 	newMechs := []func() core.Mechanism{
@@ -179,7 +179,7 @@ func testRunSuiteAnnotatedMatchesBatch(t *testing.T) {
 	if !reflect.DeepEqual(got, want) {
 		t.Fatal("annotated suite diverges from batched suite")
 	}
-	rep := AnnotatedCacheReport()
+	rep := AnnotatedTier.Stats()
 	hits, misses, resident := rep.Hits, rep.Misses, rep.ResidentBytes
 	if hits != 0 {
 		t.Fatalf("first annotated run: want 0 hits, got %d", hits)
@@ -197,7 +197,7 @@ func testRunSuiteAnnotatedMatchesBatch(t *testing.T) {
 	if !reflect.DeepEqual(again, want) {
 		t.Fatal("cached annotated suite diverges")
 	}
-	rep2 := AnnotatedCacheReport()
+	rep2 := AnnotatedTier.Stats()
 	hits2, misses2 := rep2.Hits, rep2.Misses
 	if hits2 == 0 {
 		t.Fatal("second annotated run took no cache hits")
@@ -212,9 +212,9 @@ func testRunSuiteAnnotatedMatchesBatch(t *testing.T) {
 // only) as long as no mechanism needs predictor state, matching the
 // interleaved engine exactly.
 func TestRunSuiteAnnotatedUncoupledNonAnnotatingPredictor(t *testing.T) {
-	defer ResetAnnotatedCache()
-	defer workload.ResetMaterializeCache()
-	ResetAnnotatedCache()
+	defer AnnotatedTier.Reset()
+	defer workload.TraceTier.Reset()
+	AnnotatedTier.Reset()
 	cfg := SuiteConfig{Branches: 6000, Specs: workload.Suite()[:3]}
 	newPred := func() predictor.Predictor {
 		p, err := predictor.Build("gselect-64K")
@@ -242,11 +242,11 @@ func TestRunSuiteAnnotatedUncoupledNonAnnotatingPredictor(t *testing.T) {
 // TestAnnotatedCacheBound: a tight bound evicts LRU entries; results stay
 // correct because replays hold their own pointers.
 func TestAnnotatedCacheBound(t *testing.T) {
-	defer ResetAnnotatedCache()
-	defer workload.ResetMaterializeCache()
-	defer SetAnnotatedCacheBound(0)
-	ResetAnnotatedCache()
-	SetAnnotatedCacheBound(1) // evict everything on completion
+	defer AnnotatedTier.Reset()
+	defer workload.TraceTier.Reset()
+	defer AnnotatedTier.SetBound(0)
+	AnnotatedTier.Reset()
+	AnnotatedTier.SetBound(1) // evict everything on completion
 	cfg := SuiteConfig{Branches: 4000, Specs: workload.Suite()[:2]}
 	newPred := func() predictor.Predictor { return predictor.Gshare64K() }
 	newMechs := []func() core.Mechanism{
@@ -263,7 +263,7 @@ func TestAnnotatedCacheBound(t *testing.T) {
 	if !reflect.DeepEqual(got, want) {
 		t.Fatal("bounded annotated suite diverges from batched suite")
 	}
-	if resident := AnnotatedCacheReport().ResidentBytes; resident > 1 {
+	if resident := AnnotatedTier.Stats().ResidentBytes; resident > 1 {
 		t.Fatalf("bound 1 byte: resident %d bytes after run", resident)
 	}
 	// A rerun must still be correct (all misses, no stale state).
@@ -281,9 +281,9 @@ func TestAnnotatedCacheBound(t *testing.T) {
 // last one is done, so a run never holds streams past their benchmark
 // beyond what the annotated cache's bound keeps.
 func TestAnnotatedSlotReleasedByLastChunk(t *testing.T) {
-	defer ResetAnnotatedCache()
-	defer workload.ResetMaterializeCache()
-	ResetAnnotatedCache()
+	defer AnnotatedTier.Reset()
+	defer workload.TraceTier.Reset()
+	AnnotatedTier.Reset()
 	cfg := SuiteConfig{Branches: 2000}
 	newPred := func() predictor.Predictor { return predictor.Gshare64K() }
 	var s annotatedSlot
@@ -302,7 +302,7 @@ func TestAnnotatedSlotReleasedByLastChunk(t *testing.T) {
 	if s.flat != nil || s.ann != nil {
 		t.Fatal("slot kept its stream after its last chunk")
 	}
-	if rep := AnnotatedCacheReport(); rep.Misses != 1 || rep.Hits+rep.Coalesced != 0 {
+	if rep := AnnotatedTier.Stats(); rep.Misses != 1 || rep.Hits+rep.Coalesced != 0 {
 		t.Fatalf("two chunks on one slot: want 1 claim, got %+v", rep)
 	}
 }

@@ -49,9 +49,9 @@ func checkHorizons(t *testing.T, leg string, got, want [][]SuiteResult) {
 // without the tally engine. With the prime grid, 291 = 3×97 cuts on a
 // segment boundary and 1000 (listed twice) mid-segment.
 func TestHorizonsMatchIndependentPasses(t *testing.T) {
-	defer ResetAnnotatedCache()
-	defer workload.ResetMaterializeCache()
-	ResetAnnotatedCache()
+	defer AnnotatedTier.Reset()
+	defer workload.TraceTier.Reset()
+	AnnotatedTier.Reset()
 	const n = 3000
 	horizons := []uint64{291, 1000, 1000, n}
 	newPred := func() predictor.Predictor { return predictor.Gshare64K() }
@@ -80,9 +80,9 @@ func (pcConfidence) Confidence(pc uint64) uint8 { return uint8(pc >> 2 & 3) }
 // state a mechanism reads sends the unit to the interleaved engine, which
 // must still answer every horizon.
 func TestHorizonsInterleavedFallback(t *testing.T) {
-	defer ResetAnnotatedCache()
-	defer workload.ResetMaterializeCache()
-	ResetAnnotatedCache()
+	defer AnnotatedTier.Reset()
+	defer workload.TraceTier.Reset()
+	AnnotatedTier.Reset()
 	horizons := []uint64{500, 2000}
 	newPred := func() predictor.Predictor {
 		p, err := predictor.Build("gselect-64K")
@@ -110,9 +110,9 @@ func TestHorizonsInterleavedFallback(t *testing.T) {
 // segment and its entry checkpoint are corrupted, the unit retries
 // forceLive — every result still equal to the independent passes.
 func TestHorizonsWarmAndCorrupted(t *testing.T) {
-	defer ResetAnnotatedCache()
-	defer workload.ResetMaterializeCache()
-	ResetAnnotatedCache()
+	defer AnnotatedTier.Reset()
+	defer workload.TraceTier.Reset()
+	AnnotatedTier.Reset()
 	const (
 		n       = 3000
 		segSize = 97

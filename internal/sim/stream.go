@@ -84,8 +84,8 @@ var (
 // Misses are segment payloads built live, VerifyFails are forceLive unit
 // retries after stale-state aborts, and ResidentBytes is the peak bytes of
 // in-flight segments across all concurrent units.
-func StreamReport() CacheStats {
-	return CacheStats{
+func StreamReport() artifact.TierStats {
+	return artifact.TierStats{
 		Hits:          streamSegWarm.Load(),
 		Misses:        streamSegLive.Load(),
 		VerifyFails:   streamRetries.Load(),
@@ -550,13 +550,13 @@ func streamProduce(cfg SuiteConfig, spec workload.Spec, predKey string, pred pre
 				ann = annotateBufferInto(buf, pred, spare)
 			})
 			heapwatch.Sample("stream-annotate")
-			putArtifact(artifact.KindAnnotatedStream, annSegKey(spec, budget, predKey, grid, idx), func() []byte { return marshalAnnotatedStream(ann) })
+			artifact.Save(artifact.KindAnnotatedStream, annSegKey(spec, budget, predKey, grid, idx), func() []byte { return marshalAnnotatedStream(ann) })
 			streamSegLive.Add(1)
 		}
 		cum += ann.misses
 		pos += uint64(buf.Len())
 		if predValid && canCkpt && pos < budget {
-			putArtifact(artifact.KindCheckpoint, predCkptKey(spec, budget, predKey, grid, pos), func() []byte {
+			artifact.Save(artifact.KindCheckpoint, predCkptKey(spec, budget, predKey, grid, pos), func() []byte {
 				return MarshalCheckpoint(Checkpoint{Branch: pos, Misses: cum, State: ckpred.MarshalState()})
 			})
 		}
@@ -635,12 +635,12 @@ func consumeSegGeom(g *geomLane, spec workload.Spec, predKey string, budget uint
 	}
 	end := msg.start + uint64(segN)
 	g.stAt = end
-	putArtifact(artifact.KindBucketStream, bucketSegKey(spec, budget, predKey, g.geom, grid, msg.idx), func() []byte {
+	artifact.Save(artifact.KindBucketStream, bucketSegKey(spec, budget, predKey, g.geom, grid, msg.idx), func() []byte {
 		bs := &BucketStream{lane: lane, n: segN, misses: msg.ann.misses, stats: stats}
 		return marshalBucketStream(bs)
 	})
 	if end < budget {
-		putArtifact(artifact.KindCheckpoint, geomCkptKey(spec, budget, predKey, g.geom, grid, end), func() []byte {
+		artifact.Save(artifact.KindCheckpoint, geomCkptKey(spec, budget, predKey, g.geom, grid, end), func() []byte {
 			return MarshalCheckpoint(Checkpoint{Branch: end, Misses: cumStart + msg.ann.misses, State: g.st.MarshalState()})
 		})
 	}
@@ -648,53 +648,20 @@ func consumeSegGeom(g *geomLane, spec workload.Spec, predKey string, budget uint
 	return nil
 }
 
-// putArtifact publishes one payload to the persistent tier, best effort,
-// building the payload only when a store is present.
-func putArtifact(kind uint16, key string, payload func() []byte) {
-	if s := artifact.Default(); s != nil {
-		_ = s.Put(kind, key, payload())
-	}
-}
-
-// annSegFromDisk loads and validates one segment's annotated stream from
-// the artifact tier: exact segment length and the same state-lane presence
-// the live walk would produce. Anything else is dropped as corruption.
+// annSegFromDisk loads one segment's annotated stream from the artifact
+// tier, accepting only the exact segment length and the same state-lane
+// presence the live walk would produce.
 func annSegFromDisk(spec workload.Spec, budget uint64, predKey, grid string, idx, segN int, wantState bool) *AnnotatedStream {
-	s := artifact.Default()
-	if s == nil {
-		return nil
-	}
-	key := annSegKey(spec, budget, predKey, grid, idx)
-	payload, ok := s.Get(artifact.KindAnnotatedStream, key)
-	if !ok {
-		return nil
-	}
-	ann, err := unmarshalAnnotatedStream(payload)
-	if err != nil || ann.n != segN || ann.HasState() != wantState {
-		s.Drop(artifact.KindAnnotatedStream, key)
-		return nil
-	}
+	ann, _ := artifact.Load(artifact.KindAnnotatedStream, annSegKey(spec, budget, predKey, grid, idx), unmarshalAnnotatedStream,
+		func(ann *AnnotatedStream) bool { return ann.n == segN && ann.HasState() == wantState })
 	return ann
 }
 
-// bucketSegFromDisk loads and validates one segment's bucket stream for a
-// geometry, cross-checked against the segment's annotated stream exactly
-// like the monolithic disk path.
+// bucketSegFromDisk loads one segment's bucket stream for a geometry,
+// cross-checked against the segment's annotated stream exactly like the
+// monolithic disk path.
 func bucketSegFromDisk(spec workload.Spec, budget uint64, predKey, geom, grid string, idx int, ann *AnnotatedStream) *BucketStream {
-	s := artifact.Default()
-	if s == nil {
-		return nil
-	}
-	key := bucketSegKey(spec, budget, predKey, geom, grid, idx)
-	payload, ok := s.Get(artifact.KindBucketStream, key)
-	if !ok {
-		return nil
-	}
-	bs, err := unmarshalBucketStream(payload)
-	if err != nil || bs.n != ann.n || bs.misses != ann.misses {
-		s.Drop(artifact.KindBucketStream, key)
-		return nil
-	}
+	bs, _ := artifact.Load(artifact.KindBucketStream, bucketSegKey(spec, budget, predKey, geom, grid, idx), unmarshalBucketStream, ann.matches)
 	return bs
 }
 
@@ -703,44 +670,23 @@ func bucketSegFromDisk(spec workload.Spec, budget uint64, predKey, geom, grid st
 // miss count against the unit's own running totals before handing the state
 // to the predictor codec. Any mismatch drops the checkpoint.
 func restorePredCkpt(ck predictor.Checkpointer, spec workload.Spec, budget uint64, predKey, grid string, pos, cum uint64) bool {
-	s := artifact.Default()
-	if s == nil {
-		return false
-	}
-	key := predCkptKey(spec, budget, predKey, grid, pos)
-	payload, ok := s.Get(artifact.KindCheckpoint, key)
-	if !ok {
-		return false
-	}
-	c, err := UnmarshalCheckpoint(payload)
-	if err != nil || c.Branch != pos || c.Misses != cum || ck.RestoreState(c.State) != nil {
-		s.Drop(artifact.KindCheckpoint, key)
-		return false
-	}
-	return true
+	_, ok := artifact.Load(artifact.KindCheckpoint, predCkptKey(spec, budget, predKey, grid, pos), UnmarshalCheckpoint,
+		func(c Checkpoint) bool { return c.Branch == pos && c.Misses == cum && ck.RestoreState(c.State) == nil })
+	return ok
 }
 
 // restoreGeomCkpt revives one geometry's factor state from the boundary
 // checkpoint at branch position pos, with the same cross-checks.
 func restoreGeomCkpt(fm core.Resumable, spec workload.Spec, budget uint64, predKey, geom, grid string, pos, cum uint64) (core.FactorState, bool) {
-	s := artifact.Default()
-	if s == nil {
-		return nil, false
-	}
-	key := geomCkptKey(spec, budget, predKey, geom, grid, pos)
-	payload, ok := s.Get(artifact.KindCheckpoint, key)
-	if !ok {
-		return nil, false
-	}
-	c, err := UnmarshalCheckpoint(payload)
-	if err != nil || c.Branch != pos || c.Misses != cum {
-		s.Drop(artifact.KindCheckpoint, key)
-		return nil, false
-	}
-	st, err := fm.RestoreFactorState(c.State)
-	if err != nil {
-		s.Drop(artifact.KindCheckpoint, key)
-		return nil, false
-	}
-	return st, true
+	var st core.FactorState
+	_, ok := artifact.Load(artifact.KindCheckpoint, geomCkptKey(spec, budget, predKey, geom, grid, pos), UnmarshalCheckpoint,
+		func(c Checkpoint) bool {
+			if c.Branch != pos || c.Misses != cum {
+				return false
+			}
+			var err error
+			st, err = fm.RestoreFactorState(c.State)
+			return err == nil
+		})
+	return st, ok
 }

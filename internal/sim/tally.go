@@ -3,7 +3,6 @@ package sim
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
 
 	"branchconf/internal/analysis"
 	"branchconf/internal/artifact"
@@ -71,6 +70,13 @@ func (b *BucketStream) Footprint() uint64 {
 	// Each histogram entry costs one Tally plus a map slot; 32 bytes is the
 	// amortised cost on 64-bit platforms and keeps the bound honest.
 	return b.lane.Bytes() + uint64(len(b.stats))*32
+}
+
+// matches reports whether a bucket stream read back from the artifact
+// store agrees with a on branch and miss counts; a stream that does not was
+// built over other branches and is treated as corruption.
+func (a *AnnotatedStream) matches(bs *BucketStream) bool {
+	return bs.n == a.n && bs.misses == a.misses
 }
 
 // fusedTallyLimit bounds the fused dense-histogram build path: for bucket
@@ -156,68 +162,29 @@ type bucketKey struct {
 	geom    string
 }
 
-// bucketCache memoizes bucket streams geometry-keyed, as a sibling
-// instance of the annotated cache's memo.ByteLRU. Its resident bound follows
-// -annotate-cache-mb unless -bucket-cache-mb overrides it
-// (SetBucketCacheBound).
-var bucketCache memo.ByteLRU
-
-var bucketCounts memo.Counters
-
-// bucketBoundOverridden records an explicit SetBucketCacheBound call, after
-// which SetTallyCacheDefaultBound no longer tracks the annotated bound.
-var bucketBoundOverridden atomic.Bool
-
-// SetBucketCacheBound bounds the resident payload bytes of the
-// bucket-stream cache, overriding the default of following the annotated
-// cache's bound. 0 removes the bound.
-func SetBucketCacheBound(bytes uint64) {
-	bucketBoundOverridden.Store(true)
-	bucketCache.SetBound(bytes)
-}
-
-// SetTallyCacheDefaultBound points the bucket-stream cache at the shared
-// -annotate-cache-mb budget figure; an explicit SetBucketCacheBound wins.
-func SetTallyCacheDefaultBound(bytes uint64) {
-	if !bucketBoundOverridden.Load() {
-		bucketCache.SetBound(bytes)
-	}
-}
-
-// BucketCacheReport returns the bucket-stream cache's observability quad.
-func BucketCacheReport() CacheStats {
-	return CacheReport(&bucketCounts, &bucketCache)
-}
-
-// ResetBucketCache drops every cached bucket stream and zeroes the
-// counters. The bound (and whether it was overridden) is retained.
-func ResetBucketCache() {
-	bucketCache.Reset()
-	bucketCounts.Reset()
-}
+// BucketTier memoizes bucket streams geometry-keyed, a sibling of
+// AnnotatedTier.
+var BucketTier memo.Tier
 
 // bucketStreamFor returns the memoized bucket stream for one (benchmark,
 // predictor config, geometry) triple, building lane and histogram on a
-// cache miss. The caller supplies the benchmark's (flat view, annotated
-// stream) pair it already holds, so the bucket claim never touches the
-// annotated cache. Concurrent claimants of the same key share one build.
-// fm is only read (FillBucketLane replays a private copy of its initial
-// state), so chunk-local mechanism instances are safe to pass from
-// parallel goroutines.
+// miss in both the tier and the artifact store. The caller supplies the
+// benchmark's (flat view, annotated stream) pair it already holds, so the
+// bucket claim never touches the annotated tier. Concurrent claimants of
+// the same key share one build. fm is only read (FillBucketLane replays a
+// private copy of its initial state), so chunk-local mechanism instances
+// are safe to pass from parallel goroutines.
 func bucketStreamFor(cfg SuiteConfig, spec workload.Spec, predKey string, flat *trace.FlatView, ann *AnnotatedStream, fm core.Factorable) (*BucketStream, error) {
 	n := cfg.Branches
 	if n == 0 {
 		n = spec.DefaultBranches
 	}
-	e, o := bucketCache.Claim(bucketKey{spec: spec, n: n, predKey: predKey, geom: fm.GeometryKey()})
-	bucketCounts.Count(o)
-	if o != memo.Miss {
-		<-e.Done
-		bs, _ := e.Val.(*BucketStream)
-		return bs, e.Err
-	}
-	bs := bucketStreamFromDisk(spec, n, predKey, fm.GeometryKey(), ann)
-	if bs == nil {
+	geom := fm.GeometryKey()
+	v, err := BucketTier.Get(bucketKey{spec: spec, n: n, predKey: predKey, geom: geom}, func() (any, uint64, error) {
+		key := bucketArtifactKey(spec, n, predKey, geom)
+		if bs, ok := artifact.Load(artifact.KindBucketStream, key, unmarshalBucketStream, ann.matches); ok {
+			return bs, bs.Footprint(), nil
+		}
 		width := fm.BucketWidth()
 		lane := bitvec.NewDense(width, flat.Len())
 		var stats analysis.BucketStats
@@ -232,17 +199,19 @@ func bucketStreamFor(cfg SuiteConfig, spec workload.Spec, predKey string, flat *
 			fm.FillBucketLane(flat.Records(), ann.MissWords(), lane, nil)
 			stats = tallyLane(lane, ann.MissWords(), ann.n)
 		}
-		bs = &BucketStream{
+		bs := &BucketStream{
 			lane:   lane,
 			n:      ann.n,
 			misses: ann.misses,
 			stats:  stats,
 		}
-		bucketStreamToDisk(spec, n, predKey, fm.GeometryKey(), bs)
+		artifact.Save(artifact.KindBucketStream, key, func() []byte { return marshalBucketStream(bs) })
+		return bs, bs.Footprint(), nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	e.Val = bs
-	bucketCache.Finish(e, bs.Footprint())
-	return bs, nil
+	return v.(*BucketStream), nil
 }
 
 // bucketArtifactKey is the canonical disk-store key for one bucket stream:
@@ -250,36 +219,4 @@ func bucketStreamFor(cfg SuiteConfig, spec workload.Spec, predKey string, flat *
 // and table geometry.
 func bucketArtifactKey(spec workload.Spec, n uint64, predKey, geom string) string {
 	return fmt.Sprintf("bucket|v%d|%s|n=%d|pred=%s|geom=%s", artifact.FormatVersion, spec.CacheKey(), n, predKey, geom)
-}
-
-// bucketStreamFromDisk consults the persistent artifact tier on an
-// in-memory miss, returning nil when the tier is disabled, cold, or fails
-// verification (the fill kernel then runs as usual). The decoded stream
-// must agree with the annotated stream on branch and miss counts; anything
-// else is treated as corruption and dropped.
-func bucketStreamFromDisk(spec workload.Spec, n uint64, predKey, geom string, ann *AnnotatedStream) *BucketStream {
-	s := artifact.Default()
-	if s == nil {
-		return nil
-	}
-	key := bucketArtifactKey(spec, n, predKey, geom)
-	payload, ok := s.Get(artifact.KindBucketStream, key)
-	if !ok {
-		return nil
-	}
-	bs, err := unmarshalBucketStream(payload)
-	if err != nil || bs.n != ann.n || bs.misses != ann.misses {
-		s.Drop(artifact.KindBucketStream, key)
-		return nil
-	}
-	return bs
-}
-
-// bucketStreamToDisk publishes a freshly built bucket stream to the
-// persistent tier, best effort; the store owns retry and degradation, so
-// its error is deliberately ignored.
-func bucketStreamToDisk(spec workload.Spec, n uint64, predKey, geom string, bs *BucketStream) {
-	if s := artifact.Default(); s != nil {
-		_ = s.Put(artifact.KindBucketStream, bucketArtifactKey(spec, n, predKey, geom), marshalBucketStream(bs))
-	}
 }

@@ -10,8 +10,7 @@ package trace
 // its consumers feed real predictors (BTFN and agree predictors read the
 // target to classify backward branches) and, through the gating models,
 // fetch-bandwidth accounting. The cost is flatRecordBytes per branch;
-// callers that retain views should bound them (see
-// sim.SetAnnotatedCacheBound).
+// callers that retain views should bound them (see sim.AnnotatedTier).
 //
 // A flat view is immutable and safe for concurrent readers.
 type FlatView struct {

@@ -1,6 +1,8 @@
 package workload
 
 import (
+	"os"
+	"path/filepath"
 	"sync"
 	"testing"
 
@@ -8,7 +10,7 @@ import (
 )
 
 func TestMaterializeMatchesFiniteSource(t *testing.T) {
-	defer ResetMaterializeCache()
+	defer TraceTier.Reset()
 	spec, err := ByName("groff")
 	if err != nil {
 		t.Fatal(err)
@@ -43,7 +45,7 @@ func TestMaterializeMatchesFiniteSource(t *testing.T) {
 func TestMaterializeDefaultBudget(t *testing.T) {
 	// n == 0 resolves to the spec's DefaultBranches, so the zero budget
 	// shares a cache entry with the explicit default.
-	defer ResetMaterializeCache()
+	defer TraceTier.Reset()
 	spec, err := ByName("jpeg_play")
 	if err != nil {
 		t.Fatal(err)
@@ -70,8 +72,8 @@ func TestMaterializeDefaultBudget(t *testing.T) {
 // every other call counts once, as a hit or a coalesced wait.
 // Run under -race this also checks the memo's synchronisation.
 func TestMaterializeConcurrent(t *testing.T) {
-	ResetMaterializeCache()
-	defer ResetMaterializeCache()
+	TraceTier.Reset()
+	defer TraceTier.Reset()
 	spec, err := ByName("gs")
 	if err != nil {
 		t.Fatal(err)
@@ -100,7 +102,7 @@ func TestMaterializeConcurrent(t *testing.T) {
 	}
 	// Every other caller either found the buffer built (a hit) or waited
 	// on the in-flight generation (coalesced); which, depends on timing.
-	rep := MaterializeReport()
+	rep := TraceTier.Stats()
 	if rep.Misses != 1 {
 		t.Fatalf("misses = %d, want exactly one generation", rep.Misses)
 	}
@@ -111,17 +113,17 @@ func TestMaterializeConcurrent(t *testing.T) {
 	if _, err := Materialize(spec, 10000); err != nil {
 		t.Fatal(err)
 	}
-	if again := MaterializeReport(); again.Hits != rep.Hits+1 || again.Coalesced != rep.Coalesced {
+	if again := TraceTier.Stats(); again.Hits != rep.Hits+1 || again.Coalesced != rep.Coalesced {
 		t.Fatalf("post-generation call counted as %+v after %+v, want one more hit", again, rep)
 	}
-	if MaterializeFootprint() == 0 {
+	if TraceTier.Stats().ResidentBytes == 0 {
 		t.Fatal("footprint not accounted")
 	}
 }
 
 func TestMaterializeDistinctKeys(t *testing.T) {
-	ResetMaterializeCache()
-	defer ResetMaterializeCache()
+	TraceTier.Reset()
+	defer TraceTier.Reset()
 	spec, err := ByName("nroff")
 	if err != nil {
 		t.Fatal(err)
@@ -139,7 +141,42 @@ func TestMaterializeDistinctKeys(t *testing.T) {
 	if a == b {
 		t.Fatal("different seeds shared a cache entry")
 	}
-	if rep := MaterializeReport(); rep.Misses != 2 {
+	if rep := TraceTier.Stats(); rep.Misses != 2 {
 		t.Fatalf("misses = %d, want 2", rep.Misses)
+	}
+}
+
+// TestMaterializeRetriesFailedGeneration is the regression test for the
+// trace memo's negative caching: a generation that fails (here, the trace
+// file is missing) must not stay in the memo, or the failure is replayed
+// for the life of the process after the file is back.
+func TestMaterializeRetriesFailedGeneration(t *testing.T) {
+	TraceTier.Reset()
+	defer TraceTier.Reset()
+	dir := t.TempDir()
+	path := writeTestTrace(t, dir, 2000)
+	spec, err := TraceSpec("groff-trace", path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	moved := filepath.Join(dir, "moved")
+	if err := os.Rename(path, moved); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Materialize(spec, 0); err == nil {
+		t.Fatal("materialized a trace whose file is gone")
+	}
+	if err := os.Rename(moved, path); err != nil {
+		t.Fatal(err)
+	}
+	buf, err := Materialize(spec, 0)
+	if err != nil {
+		t.Fatalf("retry after the file came back: %v (failure cached)", err)
+	}
+	if buf.Len() != 2000 {
+		t.Fatalf("retry materialized %d records, want 2000", buf.Len())
+	}
+	if st := TraceTier.Stats(); st.Misses != 2 || st.Hits+st.Coalesced != 0 {
+		t.Fatalf("trace tier %+v, want two misses: the failure and the retry", st)
 	}
 }
