@@ -60,28 +60,25 @@ var fullMix = map[string]bool{
 	"thresholds": true, "multilevel": true, "strength": true,
 }
 
-// benchEngines compares the engine stages against each other on the given
-// experiment mix. The trace cache is warmed outside the timer (every engine
-// replays materialized traces); the annotated and bucket-stream caches are
-// reset per iteration unless warmAnnotated, so the cold case measures one
-// report run from scratch and the warm case the incremental rerun
-// (predictor evolution and bucket-stream builds skipped entirely on cache
-// hits). noTally disables stage 3, leaving the PR 2 per-variant replay
-// path — the in-binary A/B that isolates the tally stage itself.
-func benchEngines(b *testing.B, filter map[string]bool, noAnnotate, noTally, warmAnnotated bool, parallel int) {
+// benchEngines times the engine on the given experiment mix. The trace
+// cache is warmed outside the timer; the annotated and bucket-stream
+// caches are reset per iteration unless warmAnnotated, so the cold case
+// measures one report run from scratch and the warm case the incremental
+// rerun (predictor evolution and bucket-stream builds skipped entirely on
+// cache hits).
+func benchEngines(b *testing.B, filter map[string]bool, warmAnnotated bool, parallel int) {
 	cfg := reportConfig{
-		branches:   200000,
-		filter:     filter,
-		parallel:   parallel,
-		noAnnotate: noAnnotate,
-		noTally:    noTally,
+		branches: 200000,
+		filter:   filter,
+		parallel: parallel,
 	}
 	resetCaches := func() {
 		sim.AnnotatedTier.Reset()
 		sim.BucketTier.Reset()
 	}
-	// Warm the trace cache so no engine pays the synthetic walk; this also
-	// serves as the discarded warmup iteration for one-time process costs.
+	// Warm the trace cache so no iteration pays the synthetic walk; this
+	// also serves as the discarded warmup iteration for one-time process
+	// costs.
 	resetCaches()
 	if err := writeReport(io.Discard, io.Discard, cfg); err != nil {
 		b.Fatal(err)
@@ -104,37 +101,21 @@ func benchEngines(b *testing.B, filter map[string]bool, noAnnotate, noTally, war
 	}
 }
 
-func BenchmarkEnginesInterleaved(b *testing.B) { benchEngines(b, figureMix, true, true, false, 2) }
+// BenchmarkEnginesTally is the cold engine on the figure mix: annotated
+// streams, factorable variants served from geometry-keyed bucket streams,
+// counter tables replayed.
+func BenchmarkEnginesTally(b *testing.B) { benchEngines(b, figureMix, false, 2) }
 
-// BenchmarkEnginesAnnotated is the PR 2 shape: annotated streams, every
-// mechanism variant on the replay path.
-func BenchmarkEnginesAnnotated(b *testing.B) { benchEngines(b, figureMix, false, true, false, 2) }
-
-// BenchmarkEnginesTally adds stage 3: factorable variants served from
-// geometry-keyed bucket streams, counter tables still replayed.
-func BenchmarkEnginesTally(b *testing.B) { benchEngines(b, figureMix, false, false, false, 2) }
-
-// BenchmarkEnginesAnnotatedWarm reruns the figures against a warm annotated
-// cache — the incremental-variant scenario: every predictor pass is a cache
-// hit, so only mechanism replay remains.
-func BenchmarkEnginesAnnotatedWarm(b *testing.B) {
-	benchEngines(b, figureMix, false, true, true, 2)
-}
-
-// BenchmarkEnginesTallyWarm is the fully warm stage-3 rerun: annotated
-// streams and bucket streams both cached, so factorable variants cost one
-// histogram share each.
-func BenchmarkEnginesTallyWarm(b *testing.B) { benchEngines(b, figureMix, false, false, true, 2) }
+// BenchmarkEnginesTallyWarm is the fully warm rerun: annotated streams and
+// bucket streams both cached, so factorable variants cost one histogram
+// share each.
+func BenchmarkEnginesTallyWarm(b *testing.B) { benchEngines(b, figureMix, true, 2) }
 
 // The Full variants run the whole-report mix, adding the derived tables and
 // the predictor-coupled strength experiment.
-func BenchmarkEnginesFullInterleaved(b *testing.B) { benchEngines(b, fullMix, true, true, false, 2) }
+func BenchmarkEnginesFullTally(b *testing.B) { benchEngines(b, fullMix, false, 2) }
 
-func BenchmarkEnginesFullAnnotated(b *testing.B) { benchEngines(b, fullMix, false, true, false, 2) }
-
-func BenchmarkEnginesFullTally(b *testing.B) { benchEngines(b, fullMix, false, false, false, 2) }
-
-func BenchmarkEnginesFullTallyWarm(b *testing.B) { benchEngines(b, fullMix, false, false, true, 2) }
+func BenchmarkEnginesFullTallyWarm(b *testing.B) { benchEngines(b, fullMix, true, 2) }
 
 // BenchmarkReportWarmFloor measures the warm floor itself: every in-memory
 // tier dropped per iteration (a fresh process, in effect), every stage

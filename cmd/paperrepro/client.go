@@ -25,7 +25,6 @@ func clientMain(args []string, stdout, errW io.Writer) error {
 		skipAblations = fs.Bool("skip-ablations", false, "run only the paper's own artefacts")
 		noTimings     = fs.Bool("no-timings", false, "omit per-experiment wall-time lines (deterministic bytes; served from the daemon's report cache when warm)")
 		segBranches   = fs.Int64("segment-branches", -1, "stream traces in segments of this many branches (-1 = auto)")
-		noStream      = fs.Bool("no-stream", false, "never stream: reject budgets above the materialization ceiling")
 		traceFile     = fs.String("trace", "", "recorded ChampSim trace for the realtrace experiment — a path on the daemon's machine; the daemon resolves its content identity")
 		out           = fs.String("o", "", "write the report to this file instead of stdout")
 		stats         = fs.Bool("stats", false, "fetch the daemon's cache-stats JSON instead of a report")
@@ -40,9 +39,6 @@ func clientMain(args []string, stdout, errW io.Writer) error {
 	}
 	if *segBranches == 0 || *segBranches < -1 {
 		return fmt.Errorf("-segment-branches must be at least 1 (or -1 for auto), got %d", *segBranches)
-	}
-	if *noStream && *segBranches > 0 {
-		return fmt.Errorf("-no-stream conflicts with -segment-branches %d: streaming cannot be both forced off and configured", *segBranches)
 	}
 
 	ctx, cancel := context.WithTimeout(context.Background(), *timeout)
@@ -68,7 +64,6 @@ func clientMain(args []string, stdout, errW io.Writer) error {
 		Branches:      *branches,
 		SkipAblations: *skipAblations,
 		NoTimings:     *noTimings,
-		NoStream:      *noStream,
 		TraceFile:     *traceFile,
 	}
 	if *segBranches > 0 {

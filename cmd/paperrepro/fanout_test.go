@@ -48,8 +48,6 @@ func TestShardAndRemoteFlagValidation(t *testing.T) {
 		args []string
 		want []string
 	}{
-		{"remote+no-artifact", []string{"-artifact-remote", "http://x", "-no-artifact", "-artifact-dir", "d"},
-			[]string{"-artifact-remote conflicts", "-no-artifact"}},
 		{"remote-without-dir", []string{"-artifact-remote", "http://x"},
 			[]string{"-artifact-remote requires", "-artifact-dir"}},
 		{"shard-out-of-range", []string{"-shard", "2/2"},

@@ -13,12 +13,11 @@
 //
 //	paperrepro [-branches 1000000] [-o report.md] [-skip-ablations]
 //	           [-only fig5,table1] [-parallel N] [-no-timings]
-//	           [-annotate-cache-mb 256]
-//	           [-artifact-dir DIR|auto] [-artifact-disk-mb 1024] [-no-artifact]
+//	           [-annotate-cache-mb 256] [-segment-branches N] [-trace FILE]
+//	           [-artifact-dir DIR|auto] [-artifact-disk-mb 1024]
 //	           [-artifact-strict] [-artifact-remote URL] [-shard i/n]
-//	           [-no-annotate] [-no-tally]
-//	           [-no-curve-artifact] [-no-model-artifact] [-cache-stats]
-//	           [-cache-stats-json] [-cpuprofile cpu.pprof] [-memprofile mem.pprof]
+//	           [-cache-stats] [-cache-stats-json]
+//	           [-cpuprofile cpu.pprof] [-memprofile mem.pprof]
 //	paperrepro serve [-listen 127.0.0.1:8091] [engine flags] [service flags]
 //	paperrepro client [-addr http://127.0.0.1:8091] [request flags | -stats]
 //	paperrepro artifactd [-listen 127.0.0.1:8092] -dir DIR [-disk-mb 1024]
@@ -64,12 +63,7 @@ import (
 	"time"
 
 	"branchconf/internal/serve"
-	"branchconf/internal/workload"
 )
-
-// The materialization ceiling and auto segment size live in
-// internal/serve (shared with the daemon's request validation).
-const materializeCeiling = serve.MaterializeCeiling
 
 func main() {
 	args := os.Args[1:]
@@ -106,17 +100,11 @@ func appMain(args []string, stdout, errW io.Writer) error {
 		only          = fs.String("only", "", "comma-separated experiment ids to run (default: all)")
 		parallel      = fs.Int("parallel", runtime.NumCPU(), "max concurrent experiments, per-benchmark simulation units, and streaming unit pipelines (each pipeline itself overlaps annotate/tally with a bounded segment queue)")
 		annCacheMB    = fs.Uint64("annotate-cache-mb", 256, "resident bound in MiB for each in-memory engine cache tier: annotated streams with their flat views, bucket streams, model stats, curves (0 = unbounded)")
-		noAnnotate    = fs.Bool("no-annotate", false, "disable the two-stage annotated engine (byte-identical, for benchmarking)")
-		noTally       = fs.Bool("no-tally", false, "disable the stage-3 tally engine (byte-identical, for benchmarking)")
 		segBranches   = fs.Int64("segment-branches", -1, "stream traces in segments of this many branches with bounded resident memory (byte-identical; -1 = auto: segment only above the materialization ceiling)")
-		noStream      = fs.Bool("no-stream", false, "never stream: materialize whole traces even above the ceiling (rejected for budgets that cannot be materialized)")
-		noCurveArt    = fs.Bool("no-curve-artifact", false, "disable the curve memo/disk tier (byte-identical, for A/B benchmarking)")
-		noModelArt    = fs.Bool("no-model-artifact", false, "disable the cycle-model memo/disk tier (byte-identical, for A/B benchmarking)")
 		noTimings     = fs.Bool("no-timings", false, "omit the per-experiment wall-time lines, making the report bytes fully deterministic")
 		traceFile     = fs.String("trace", "", "recorded ChampSim trace for the realtrace experiment (generate one with tracegen -format champsim)")
 		artifactDir   = fs.String("artifact-dir", "", "persist engine artifacts in this directory for warm starts across runs (\"auto\" = user cache dir; empty = disabled)")
 		artifactMB    = fs.Uint64("artifact-disk-mb", 1024, "disk budget for -artifact-dir in MiB, LRU-evicted by access time (0 = unbounded)")
-		noArtifact    = fs.Bool("no-artifact", false, "ignore -artifact-dir (byte-identical, for A/B benchmarking)")
 		strictStore   = fs.Bool("artifact-strict", false, "fail the run on any artifact-store I/O error instead of degrading to in-memory-only")
 		remoteURL     = fs.String("artifact-remote", "", "layer a remote artifact store (a paperrepro artifactd base URL) under the local disk store: read-through on local misses, write-behind on publishes")
 		shardSpec     = fs.String("shard", "", "run only shard i of n (\"i/n\") of the experiment selection and emit a partial report (JSON) instead of markdown; merge partials with \"paperrepro merge\"")
@@ -136,17 +124,8 @@ func appMain(args []string, stdout, errW io.Writer) error {
 	}
 	// Mutually exclusive flag combinations fail up front with an error
 	// naming both flags — never silent precedence.
-	if *noStream && *segBranches > 0 {
-		return fmt.Errorf("-no-stream conflicts with -segment-branches %d: streaming cannot be both forced off and configured", *segBranches)
-	}
-	if *noArtifact && *strictStore {
-		return fmt.Errorf("-no-artifact conflicts with -artifact-strict: a disabled store cannot fail hard")
-	}
 	if *strictStore && *artifactDir == "" {
 		return fmt.Errorf("-artifact-strict requires -artifact-dir: there is no store to hold to strict errors")
-	}
-	if *remoteURL != "" && *noArtifact {
-		return fmt.Errorf("-artifact-remote conflicts with -no-artifact: a disabled store cannot layer a remote tier")
 	}
 	if *remoteURL != "" && *artifactDir == "" {
 		return fmt.Errorf("-artifact-remote requires -artifact-dir: the remote tier layers under the local disk store")
@@ -156,21 +135,7 @@ func appMain(args []string, stdout, errW io.Writer) error {
 			return fmt.Errorf("-shard: %w", err)
 		}
 	}
-	effBranches := *branches
-	if effBranches == 0 {
-		effBranches = workload.DefaultBranches
-	}
-	var segment uint64
-	switch {
-	case *noStream:
-		if effBranches > materializeCeiling {
-			return fmt.Errorf("-no-stream: budget %d exceeds the materialization ceiling (%d branches); drop -no-stream or set -segment-branches", effBranches, uint64(materializeCeiling))
-		}
-	case *segBranches > 0:
-		segment = uint64(*segBranches)
-	case effBranches > materializeCeiling:
-		segment = serve.AutoSegmentBranches
-	}
+	segment := serve.ResolveSegment(*branches, uint64(max(*segBranches, 0)))
 
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
@@ -208,9 +173,6 @@ func appMain(args []string, stdout, errW io.Writer) error {
 		}
 	}
 	dir := *artifactDir
-	if *noArtifact {
-		dir = ""
-	}
 	if dir == "auto" {
 		base, err := os.UserCacheDir()
 		if err != nil {
@@ -227,11 +189,7 @@ func appMain(args []string, stdout, errW io.Writer) error {
 		progress:        *out != "",
 		parallel:        *parallel,
 		annCacheBytes:   *annCacheMB << 20,
-		noAnnotate:      *noAnnotate,
-		noTally:         *noTally,
 		segmentBranches: segment,
-		noCurveArtifact: *noCurveArt,
-		noModelArtifact: *noModelArt,
 		cacheStats:      *cacheStats,
 		cacheStatsJSON:  *cacheStatsJ,
 		artifactDir:     dir,

@@ -150,10 +150,6 @@ func TestFlagConflictsRejected(t *testing.T) {
 		args []string
 		want []string // substrings the error must contain
 	}{
-		{"no-stream+segment-branches", []string{"-no-stream", "-segment-branches", "4096"},
-			[]string{"-no-stream conflicts", "-segment-branches"}},
-		{"no-artifact+artifact-strict", []string{"-no-artifact", "-artifact-strict", "-artifact-dir", "x"},
-			[]string{"-no-artifact conflicts", "-artifact-strict"}},
 		{"artifact-strict-without-dir", []string{"-artifact-strict"},
 			[]string{"-artifact-strict requires", "-artifact-dir"}},
 	}
@@ -180,8 +176,8 @@ func TestFlagConflictsRejected(t *testing.T) {
 // store flag pairs before binding a listener.
 func TestServeFlagConflictsRejected(t *testing.T) {
 	cases := [][]string{
-		{"-no-artifact", "-artifact-strict", "-artifact-dir", "x"},
 		{"-artifact-strict"},
+		{"-artifact-remote", "http://x"},
 	}
 	for _, args := range cases {
 		var out, errW strings.Builder

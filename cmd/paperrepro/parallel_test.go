@@ -5,6 +5,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"branchconf/internal/exp"
 )
 
 // stubClock freezes the report's timing lines so byte-comparison ignores
@@ -52,41 +54,42 @@ func TestParallelReportMatchesSerial(t *testing.T) {
 			t.Errorf("report at -parallel=%d differs from serial output", parallel)
 		}
 	}
+}
 
-	// The annotated two-stage engine and the interleaved engine must also
-	// agree byte for byte, at any worker count.
-	renderNoAnnotate := func(parallel int) string {
+// TestParallelOneCacheStatsStable: -parallel bounds the engine's
+// simulation units as well as the experiment pool, so at -parallel 1 every
+// tier is claimed in one fixed order. Two runs of one report from reset
+// tiers then print identical bucket-stream rows, evictions and resident
+// bytes included (the tier bound is set low so that evictions happen).
+func TestParallelOneCacheStatsStable(t *testing.T) {
+	stubClock(t)
+	t.Cleanup(func() {
+		resetEngineCaches()
+		exp.SetCacheBound(0)
+	})
+	args := []string{"-parallel", "1", "-cache-stats", "-annotate-cache-mb", "1",
+		"-branches", "20000", "-only", "fig5,fig6,fig7,fig8,fig11"}
+	row := regexp.MustCompile(`(?m)^cache-stats bucket-stream .*$`)
+	run := func() string {
+		t.Helper()
+		resetEngineCaches()
 		var out, errW strings.Builder
-		c := cfg
-		c.parallel = parallel
-		c.noAnnotate = true
-		if err := writeReport(&out, &errW, c); err != nil {
-			t.Fatalf("no-annotate parallel=%d: %v", parallel, err)
+		if err := appMain(args, &out, &errW); err != nil {
+			t.Fatal(err)
 		}
-		return out.String()
-	}
-	for _, parallel := range []int{1, 2, 8} {
-		if got := renderNoAnnotate(parallel); got != serial {
-			t.Errorf("interleaved-engine report at -parallel=%d differs from annotated serial output", parallel)
+		r := row.FindString(errW.String())
+		if r == "" {
+			t.Fatalf("no bucket-stream row in:\n%s", errW.String())
 		}
+		return r
 	}
-
-	// And the stage-3 tally engine must change nothing: a -no-tally report
-	// is byte-identical to the default (tally-enabled) report at any worker
-	// count.
-	renderNoTally := func(parallel int) string {
-		var out, errW strings.Builder
-		c := cfg
-		c.parallel = parallel
-		c.noTally = true
-		if err := writeReport(&out, &errW, c); err != nil {
-			t.Fatalf("no-tally parallel=%d: %v", parallel, err)
-		}
-		return out.String()
+	first := run()
+	if !strings.Contains(first, "evictions=") || strings.Contains(first, "evictions=0 ") {
+		t.Fatalf("the bound forced no evictions, so the row proves nothing: %s", first)
 	}
-	for _, parallel := range []int{1, 2, 8} {
-		if got := renderNoTally(parallel); got != serial {
-			t.Errorf("replay-path report at -parallel=%d differs from tally-path serial output", parallel)
+	for i := 0; i < 3; i++ {
+		if got := run(); got != first {
+			t.Fatalf("-parallel 1 runs print different bucket-stream rows:\n%s\n%s", first, got)
 		}
 	}
 }
@@ -116,9 +119,9 @@ func TestReportCacheStats(t *testing.T) {
 		"trace cache": "trace-memo", "annotated cache": "annotated-stream", "bucket cache": "bucket-stream",
 		"model cache": "model-stats", "curve cache": "curve", "artifact disk": "artifact-disk",
 	} {
-		line := regexp.MustCompile(label + `: (\d+) hits, (\d+) misses`).FindStringSubmatch(progress)
-		row := regexp.MustCompile(`cache-stats ` + tier + ` +hits=(\d+) misses=(\d+) `).FindStringSubmatch(progress)
-		if line == nil || row == nil || line[1] != row[1] || line[2] != row[2] {
+		line := regexp.MustCompile(label + `: (\d+) hits, (\d+) coalesced, (\d+) misses`).FindStringSubmatch(progress)
+		row := regexp.MustCompile(`cache-stats ` + tier + ` +hits=(\d+) misses=(\d+) .* coalesced=(\d+)\n`).FindStringSubmatch(progress)
+		if line == nil || row == nil || line[1] != row[1] || line[2] != row[3] || line[3] != row[2] {
 			t.Errorf("progress %q reads %v, -cache-stats row %q reads %v", label, line, tier, row)
 		}
 	}

@@ -20,13 +20,9 @@ type reportConfig struct {
 	noTimings       bool            // omit per-experiment wall-time lines
 	traceFile       string          // recorded ChampSim trace for realtrace ("" = none)
 	progress        bool            // emit per-experiment progress to errW
-	parallel        int             // max concurrent experiments (<=1 = serial)
+	parallel        int             // max concurrent experiments and simulation units (<=1 = serial; 0 leaves the sim bound at its default)
 	annCacheBytes   uint64          // resident bound of each in-memory engine tier (0 = unbounded)
-	noAnnotate      bool            // force the interleaved single-pass engine
-	noTally         bool            // disable the stage-3 tally engine
 	segmentBranches uint64          // stream traces in segments of this many branches (0 = monolithic)
-	noCurveArtifact bool            // disable the curve memo/disk tier
-	noModelArtifact bool            // disable the cycle-model memo/disk tier
 	cacheStats      bool            // print per-cache counters to errW at exit
 	cacheStatsJSON  bool            // print the same counters as JSON to errW at exit
 	artifactDir     string          // persistent artifact store directory ("" = disabled)
@@ -68,6 +64,12 @@ func writeReport(w, errW io.Writer, cfg reportConfig) error {
 		defer store.Close()
 	}
 	exp.SetCacheBound(cfg.annCacheBytes)
+	if cfg.parallel > 0 {
+		// The bound is process-wide; restore the default on return so an
+		// in-process caller (a test) never inherits this run's bound.
+		sim.SetParallelism(cfg.parallel)
+		defer sim.SetParallelism(0)
+	}
 	// Stream counters and heap peaks are per-run observability (unlike the
 	// cache tiers, whose contents — and so counters — persist process-wide),
 	// so each report starts them from zero.
@@ -78,10 +80,6 @@ func writeReport(w, errW io.Writer, cfg reportConfig) error {
 	}
 	session := exp.NewSession(exp.Config{
 		Branches:        cfg.branches,
-		NoAnnotate:      cfg.noAnnotate,
-		NoTally:         cfg.noTally,
-		NoCurveArtifact: cfg.noCurveArtifact,
-		NoModelArtifact: cfg.noModelArtifact,
 		SegmentBranches: cfg.segmentBranches,
 		TraceFile:       cfg.traceFile,
 	})
@@ -160,11 +158,11 @@ func writeReport(w, errW io.Writer, cfg reportConfig) error {
 		}
 		pass, tr, ann := session.Stats(), tier("trace-memo"), tier("annotated-stream")
 		bucket, model, curve, disk := tier("bucket-stream"), tier("model-stats"), tier("curve"), tier("artifact-disk")
-		fmt.Fprintf(errW, "pass cache: %d hits, %d misses; trace cache: %d hits, %d misses (%.1f MB resident); annotated cache: %d hits, %d misses (%.1f MB resident); bucket cache: %d hits, %d misses; model cache: %d hits, %d misses; curve cache: %d hits, %d misses; artifact disk: %d hits, %d misses\n",
-			pass.Hits, pass.Misses, tr.Hits, tr.Misses, float64(tr.ResidentBytes)/(1<<20),
-			ann.Hits, ann.Misses, float64(ann.ResidentBytes)/(1<<20),
-			bucket.Hits, bucket.Misses, model.Hits, model.Misses,
-			curve.Hits, curve.Misses, disk.Hits, disk.Misses)
+		fmt.Fprintf(errW, "pass cache: %d hits, %d coalesced, %d misses; trace cache: %d hits, %d coalesced, %d misses (%.1f MB resident); annotated cache: %d hits, %d coalesced, %d misses (%.1f MB resident); bucket cache: %d hits, %d coalesced, %d misses; model cache: %d hits, %d coalesced, %d misses; curve cache: %d hits, %d coalesced, %d misses; artifact disk: %d hits, %d coalesced, %d misses\n",
+			pass.Hits, pass.Coalesced, pass.Misses, tr.Hits, tr.Coalesced, tr.Misses, float64(tr.ResidentBytes)/(1<<20),
+			ann.Hits, ann.Coalesced, ann.Misses, float64(ann.ResidentBytes)/(1<<20),
+			bucket.Hits, bucket.Coalesced, bucket.Misses, model.Hits, model.Coalesced, model.Misses,
+			curve.Hits, curve.Coalesced, curve.Misses, disk.Hits, disk.Coalesced, disk.Misses)
 	}
 	if cfg.cacheStats {
 		printCacheStats(errW, "session-pass", session.Stats())

@@ -35,13 +35,8 @@ func serveMain(args []string, stdout, errW io.Writer) error {
 		listen        = fs.String("listen", "127.0.0.1:8091", "listen address (host:port; port 0 picks a free port, printed on stderr)")
 		parallel      = fs.Int("parallel", runtime.NumCPU(), "max concurrent experiments within one request, and the process-wide simulation-unit bound")
 		annCacheMB    = fs.Uint64("annotate-cache-mb", 256, "resident bound in MiB for each in-memory engine cache tier: annotated streams with their flat views, bucket streams, model stats, curves (0 = unbounded)")
-		noAnnotate    = fs.Bool("no-annotate", false, "disable the two-stage annotated engine (byte-identical, for benchmarking)")
-		noTally       = fs.Bool("no-tally", false, "disable the stage-3 tally engine (byte-identical, for benchmarking)")
-		noCurveArt    = fs.Bool("no-curve-artifact", false, "disable the curve memo/disk tier (byte-identical, for A/B benchmarking)")
-		noModelArt    = fs.Bool("no-model-artifact", false, "disable the cycle-model memo/disk tier (byte-identical, for A/B benchmarking)")
 		artifactDir   = fs.String("artifact-dir", "", "persist engine artifacts in this directory for warm starts across restarts (\"auto\" = user cache dir; empty = disabled)")
 		artifactMB    = fs.Uint64("artifact-disk-mb", 1024, "disk budget for -artifact-dir in MiB, LRU-evicted by access time (0 = unbounded)")
-		noArtifact    = fs.Bool("no-artifact", false, "ignore -artifact-dir (byte-identical, for A/B benchmarking)")
 		strictStore   = fs.Bool("artifact-strict", false, "fail requests on any artifact-store I/O error instead of degrading to in-memory-only")
 		remoteURL     = fs.String("artifact-remote", "", "layer a remote artifact store (a paperrepro artifactd base URL) under the local disk store: read-through on local misses, write-behind on publishes")
 		cacheStats    = fs.Bool("cache-stats", false, "sample per-stage peak heap and include the rows in stats snapshots")
@@ -64,23 +59,14 @@ func serveMain(args []string, stdout, errW io.Writer) error {
 	if *parallel < 1 {
 		return fmt.Errorf("-parallel must be at least 1, got %d", *parallel)
 	}
-	if *noArtifact && *strictStore {
-		return fmt.Errorf("-no-artifact conflicts with -artifact-strict: a disabled store cannot fail hard")
-	}
 	if *strictStore && *artifactDir == "" {
 		return fmt.Errorf("-artifact-strict requires -artifact-dir: there is no store to hold to strict errors")
-	}
-	if *remoteURL != "" && *noArtifact {
-		return fmt.Errorf("-artifact-remote conflicts with -no-artifact: a disabled store cannot layer a remote tier")
 	}
 	if *remoteURL != "" && *artifactDir == "" {
 		return fmt.Errorf("-artifact-remote requires -artifact-dir: the remote tier layers under the local disk store")
 	}
 
 	dir := *artifactDir
-	if *noArtifact {
-		dir = ""
-	}
 	if dir == "auto" {
 		base, err := os.UserCacheDir()
 		if err != nil {
@@ -111,12 +97,6 @@ func serveMain(args []string, stdout, errW io.Writer) error {
 	}
 
 	srv := serve.New(serve.Config{
-		Defaults: exp.Config{
-			NoAnnotate:      *noAnnotate,
-			NoTally:         *noTally,
-			NoCurveArtifact: *noCurveArt,
-			NoModelArtifact: *noModelArt,
-		},
 		Parallel:          *parallel,
 		MaxSessions:       *maxSessions,
 		PassCacheBytes:    *passCacheMB << 20,

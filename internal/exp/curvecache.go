@@ -34,9 +34,8 @@ import (
 // Warm runs served from this tier skip BuildCurve and the composite build
 // entirely: CurveSet defers CompositePooled/CompositeDistinct/Single until
 // something actually needs the weighted composite, which on a full curve
-// hit is never. Config.NoCurveArtifact bypasses the tier (memory and disk)
-// for A/B runs; results are byte-identical either way because the codec
-// round-trips every float through its exact bit pattern.
+// hit is never. A served curve is byte-identical to a built one because
+// the codec round-trips every float through its exact bit pattern.
 
 // CurveTier is the process-wide curve memo, a sibling of the annotated and
 // bucket-stream tiers under the same resident bound (SetCacheBound).
@@ -160,9 +159,6 @@ func (c *CurveSet) build(fn func(uint64) uint64) analysis.Curve {
 // process memo first, disk artifact second, direct build last. Concurrent
 // claimants of one key share a single build.
 func (c *CurveSet) curve(desc string, fn func(uint64) uint64) analysis.Curve {
-	if c.s.cfg.NoCurveArtifact {
-		return c.build(fn)
-	}
 	key := curveArtifactKey(c.contentHash(), c.mode, desc)
 	v, _ := CurveTier.Get(key, func() (any, uint64, error) {
 		// ok distinguishes a served curve (possibly nil: empty curves are

@@ -151,15 +151,32 @@ func deepCopy(runs []analysis.BucketStats) []analysis.BucketStats {
 // TestCurveKeyFollowsContent: a curve set over a resident pass (keyed from
 // its stored digests) and one over a deep copy of the same tallies (hashed
 // from the maps) must produce the same key, for whole passes, picked
-// subsets and single runs — keys follow content, never map identity.
+// subsets and single runs — keys follow content, never map identity. The
+// tier is transparent: a curve it builds, and the same curve served back
+// from it, equal a direct build.
 func TestCurveKeyFollowsContent(t *testing.T) {
 	sim.AnnotatedTier.Reset()
 	defer sim.AnnotatedTier.Reset()
 	defer workload.TraceTier.Reset()
-	s := NewSession(Config{Branches: 3000, NoCurveArtifact: true})
+	CurveTier.Reset()
+	defer CurveTier.Reset()
+	s := NewSession(Config{Branches: 3000})
 	p, err := s.SuiteOne(predGshare64K, mechOneLevel(core.IndexPCxorBHR))
 	if err != nil {
 		t.Fatal(err)
+	}
+	merge := func(b uint64) uint64 { return b >> 1 }
+	for _, leg := range []string{"built", "served"} {
+		set := s.Pooled(p.Tallies())
+		if got, want := set.Curve(), set.build(nil); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s curve differs from a direct build", leg)
+		}
+		if got, want := set.Merged("shr1", merge), set.build(merge); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s merged curve differs from a direct build", leg)
+		}
+	}
+	if st := CurveTier.Stats(); st.Misses != 2 || st.Hits != 2 {
+		t.Errorf("curve tier hits=%d misses=%d, want 2/2", st.Hits, st.Misses)
 	}
 	copied := deepCopy(p.Stats())
 	if got, want := s.Pooled(p.Tallies()).contentHash(), s.Pooled(DerivedRuns(copied...)).contentHash(); got != want {

@@ -133,19 +133,21 @@ func TestSharedSessionMatchesIsolatedRuns(t *testing.T) {
 }
 
 // TestTallyMatchesReplayArtefacts is the stage-3 engine's artefact-level
-// byte-identity guarantee: every figure whose mechanisms ride the
-// geometry-keyed tally path — the one-level scheme sweep (fig5), the
-// two-level variants (fig6), the reduction/threshold family derived from a
-// shared geometry (fig7/fig8), and the init-policy sweep (fig11) — must
-// render byte-identical with the stage disabled (Config.NoTally, the
-// PR 2 replay engine).
+// byte-identity guarantee at a budget large enough to populate the tally
+// buckets: every figure whose mechanisms ride the geometry-keyed tally
+// path — the one-level scheme sweep (fig5), the two-level variants (fig6),
+// the reduction/threshold family derived from a shared geometry
+// (fig7/fig8), and the init-policy sweep (fig11) — must render
+// byte-identical to a session whose engine is the interleaved reference
+// walk, which replays every mechanism per branch and tallies nothing.
 func TestTallyMatchesReplayArtefacts(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs a registry slice twice")
 	}
+	t.Cleanup(resetEngineTiers)
 	ids := []string{"fig5", "fig6", "fig7", "fig8", "fig11"}
-	render := func(cfg Config) map[string][]byte {
-		session := NewSession(cfg)
+	render := func(session *Session, label string) map[string][]byte {
+		resetEngineTiers()
 		out := make(map[string][]byte)
 		for _, id := range ids {
 			e, err := ByID(id)
@@ -154,14 +156,17 @@ func TestTallyMatchesReplayArtefacts(t *testing.T) {
 			}
 			o, err := e.Run(session)
 			if err != nil {
-				t.Fatalf("%s (noTally=%v): %v", id, cfg.NoTally, err)
+				t.Fatalf("%s (%s): %v", id, label, err)
 			}
 			out[id] = artefactBytes(t, o)
 		}
 		return out
 	}
-	want := render(Config{Branches: 30000, NoTally: true})
-	got := render(Config{Branches: 30000})
+	cfg := Config{Branches: 30000}
+	ref := NewSession(cfg)
+	ref.engine = referenceEngine
+	want := render(ref, "reference")
+	got := render(NewSession(cfg), "tally")
 	for _, id := range ids {
 		if !bytes.Equal(got[id], want[id]) {
 			t.Errorf("%s: tally-path artefact differs from replay-path artefact", id)

@@ -26,16 +26,17 @@ import (
 //     (sim.RunSuiteAnnotated): the predictor walks each benchmark once per
 //     predictor config — memoized process-wide as a compact annotated
 //     stream — and mechanisms train by replaying the stream with no
-//     predictor in the loop (Config.NoAnnotate falls back to the
-//     interleaved sim.RunSuiteBatch engine), and
+//     predictor in the loop, and
 //   - memoizes every (predictor, mechanism) suite pass, so experiments
 //     sharing a configuration — concurrent or sequential — reuse results
 //     instead of resimulating.
 //
 // All sharing is exact: replay, batching and result derivation are
-// bit-identical to the direct streaming path (see internal/sim tests and
-// determinism_test.go), so a report produced through a shared Session is
-// byte-identical to one produced by isolated per-experiment runs.
+// bit-identical to the interleaved predictor-in-the-loop walk
+// (sim.RunSuiteBatch), the one reference engine. The differential test in
+// engine_test.go renders a registry slice through both at several worker
+// counts and segment sizes, and determinism_test.go holds a shared Session
+// byte-identical to isolated per-experiment runs.
 
 // PredSpec names a predictor configuration and how to build fresh
 // instances of it. Key must be unique per configuration; Pred derives it
@@ -77,14 +78,26 @@ type passKey string
 // concurrent identical work onto one computation.
 type Session struct {
 	cfg Config
+	// engine runs one suite pass. It is sim.RunSuiteAnnotated; only
+	// in-package tests swap in the interleaved reference.
+	engine suiteEngine
 
 	passes memo.ByteLRU
 	counts memo.Counters
 }
 
+// suiteEngine runs cfg's benchmarks under pred with every mechanism in
+// newMechs, one SuiteResult per mechanism.
+type suiteEngine func(cfg sim.SuiteConfig, pred PredSpec, newMechs []func() core.Mechanism) ([]sim.SuiteResult, error)
+
+// annotatedEngine is the production suite engine.
+func annotatedEngine(cfg sim.SuiteConfig, pred PredSpec, newMechs []func() core.Mechanism) ([]sim.SuiteResult, error) {
+	return sim.RunSuiteAnnotated(cfg, pred.Key, pred.New, newMechs)
+}
+
 // NewSession returns an empty session for the given configuration.
 func NewSession(cfg Config) *Session {
-	return &Session{cfg: cfg}
+	return &Session{cfg: cfg, engine: annotatedEngine}
 }
 
 // Config returns the session's run configuration.
@@ -112,7 +125,7 @@ func (s *Session) Source(spec workload.Spec) (trace.Source, error) {
 
 // suiteConfig is the session's whole-suite run configuration: the
 // session budget with benchmarks fed from the materialized-trace cache,
-// for both the interleaved engine (Source) and the annotated two-stage
+// for both the interleaved walk (Source) and the annotated two-stage
 // engine (Buffer). Under Config.SegmentBranches the materialized-trace
 // cache is bypassed entirely — benchmarks stream straight from their
 // generators (the sim default Source), so a long-horizon run never holds
@@ -121,7 +134,6 @@ func (s *Session) suiteConfig() sim.SuiteConfig {
 	if s.cfg.SegmentBranches > 0 {
 		return sim.SuiteConfig{
 			Branches:        s.cfg.Branches,
-			NoTally:         s.cfg.NoTally,
 			SegmentBranches: s.cfg.SegmentBranches,
 		}
 	}
@@ -134,19 +146,8 @@ func (s *Session) suiteConfig() sim.SuiteConfig {
 			}
 			return buf.Source(), nil
 		},
-		Buffer:  workload.Materialize,
-		NoTally: s.cfg.NoTally,
+		Buffer: workload.Materialize,
 	}
-}
-
-// runSuite dispatches a suite pass to the configured engine: the annotated
-// two-stage engine by default, the interleaved single-pass engine under
-// Config.NoAnnotate. Both produce byte-identical results.
-func (s *Session) runSuite(pred PredSpec, newMechs []func() core.Mechanism) ([]sim.SuiteResult, error) {
-	if s.cfg.NoAnnotate {
-		return sim.RunSuiteBatch(s.suiteConfig(), pred.New, newMechs)
-	}
-	return sim.RunSuiteAnnotated(s.suiteConfig(), pred.Key, pred.New, newMechs)
 }
 
 // Pass is one (predictor, mechanism) suite pass as the session holds it:
@@ -220,7 +221,7 @@ func (s *Session) Suite(pred PredSpec, mechs ...MechSpec) ([]Pass, error) {
 		for j, i := range missing {
 			newMechs[j] = mechs[i].New
 		}
-		res, err := s.runSuite(pred, newMechs)
+		res, err := s.engine(s.suiteConfig(), pred, newMechs)
 		for j, i := range missing {
 			e := entries[i]
 			if err != nil {

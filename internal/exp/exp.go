@@ -17,24 +17,6 @@ type Config struct {
 	// Branches is the per-benchmark dynamic branch budget; 0 uses each
 	// benchmark's default (1M).
 	Branches uint64
-	// NoAnnotate disables the two-stage annotated engine and runs every
-	// suite pass through the interleaved single-pass engine instead.
-	// Results are byte-identical either way; the switch exists for
-	// benchmarking the engines against each other and as an escape hatch.
-	NoAnnotate bool
-	// NoTally disables the stage-3 tally engine within the annotated
-	// engine: factorable mechanisms replay per-variant instead of sharing
-	// geometry-keyed bucket streams. Results are byte-identical either way.
-	NoTally bool
-	// NoCurveArtifact disables the curve tier: every curve is built
-	// directly from its composite instead of being served from the
-	// content-hash-keyed memo and disk artifact. Results are byte-identical
-	// either way; the switch exists for A/B benchmarking.
-	NoCurveArtifact bool
-	// NoModelArtifact disables the model tier: every cycle-driven
-	// application model runs live instead of serving its count vector from
-	// the memo and disk artifact. Results are byte-identical either way.
-	NoModelArtifact bool
 	// SegmentBranches, when non-zero, routes suite passes through the
 	// segmented streaming engine: traces are walked in segments of this
 	// many branches with bounded resident memory and checkpointed resume,

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	"branchconf/internal/analysis"
 	"branchconf/internal/core"
 	"branchconf/internal/sim"
 	"branchconf/internal/workload"
@@ -34,24 +33,7 @@ func init() {
 	})
 }
 
-// batchEachHorizon is the -no-annotate reference: an independent interleaved pass per horizon.
-func batchEachHorizon(cfg sim.SuiteConfig, horizons []uint64, newMechs []func() core.Mechanism) ([][]sim.SuiteResult, error) {
-	out := make([][]sim.SuiteResult, len(horizons))
-	for i, h := range horizons {
-		cfg.Branches = h
-		rs, err := sim.RunSuiteBatch(cfg, predGshare64K.New, newMechs)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = rs
-	}
-	return out, nil
-}
-
 func runLongHorizon(s *Session) (*Output, error) {
-	if s.Config().NoAnnotate {
-		return longHorizon(s, batchEachHorizon)
-	}
 	return longHorizon(s, func(cfg sim.SuiteConfig, hs []uint64, nm []func() core.Mechanism) ([][]sim.SuiteResult, error) {
 		return sim.RunSuiteHorizons(cfg, hs, predGshare64K.Key, predGshare64K.New, nm)
 	})
@@ -79,8 +61,7 @@ func longHorizon(s *Session, sweep func(sim.SuiteConfig, []uint64, []func() core
 		newMechs[i] = m.spec.New
 	}
 	// Per-horizon budgets bypass the session pass cache; nil Source picks the sim default.
-	cfg := s.Config()
-	passes, err := sweep(sim.SuiteConfig{Specs: []workload.Spec{spec}, NoTally: cfg.NoTally, SegmentBranches: cfg.SegmentBranches}, horizons, newMechs)
+	passes, err := sweep(sim.SuiteConfig{Specs: []workload.Spec{spec}, SegmentBranches: s.Config().SegmentBranches}, horizons, newMechs)
 	if err != nil {
 		return nil, err
 	}
@@ -96,13 +77,7 @@ func longHorizon(s *Session, sweep func(sim.SuiteConfig, []uint64, []func() core
 		fmt.Fprintf(&b, "%17d  %5.2f  ", h, miss)
 		o.Scalars[fmt.Sprintf("miss%%@%d", h)] = miss
 		for i, m := range mechs {
-			var curve analysis.Curve
-			if cfg.NoCurveArtifact {
-				curve = analysis.BuildCurve(analysis.CompositePooled(passes[hi][i].Stats()))
-			} else {
-				curve = s.Pooled(DerivedRuns(passes[hi][i].Stats()...)).Curve()
-			}
-			cov := curve.MispredsAt(20)
+			cov := s.Pooled(DerivedRuns(passes[hi][i].Stats()...)).Curve().MispredsAt(20)
 			fmt.Fprintf(&b, "%17.2f%%", cov)
 			o.Scalars[fmt.Sprintf("%s@20%%@%d", m.label, h)] = cov
 		}

@@ -11,10 +11,11 @@ import (
 
 // TestLongHorizonStreamingMatchesMonolithic: the long-horizon sweep reads
 // its shorter horizons as prefix cuts of one walk; whether that walk
-// streams in segments or runs one segment per horizon span — and on the
-// -no-annotate and -no-tally legs — the text must match a reference that
-// runs one independent RunSuiteAnnotated pass per horizon. The experiment
-// must also be opt-in so default report runs skip it.
+// streams in segments or runs one segment per horizon span, the text must
+// match a reference that runs one independent RunSuiteAnnotated pass per
+// horizon. The experiment must also be opt-in so default report runs skip
+// it. TestAnnotatedMatchesInterleavedArtefacts holds the sweep to the
+// interleaved reference engine.
 func TestLongHorizonStreamingMatchesMonolithic(t *testing.T) {
 	e, err := ByID("longhorizon")
 	if err != nil {
@@ -41,8 +42,6 @@ func TestLongHorizonStreamingMatchesMonolithic(t *testing.T) {
 	for _, cfg := range []Config{
 		{Branches: 20000},
 		{Branches: 20000, SegmentBranches: 4096},
-		{Branches: 20000, SegmentBranches: 4096, NoTally: true},
-		{Branches: 20000, NoAnnotate: true},
 	} {
 		got, err := e.RunOnce(cfg)
 		if err != nil {

@@ -64,15 +64,6 @@ func modelKey(model, spec string, branches uint64, params string) string {
 // suspenders, so a model whose count set changed without a version bump
 // costs a rebuild, never a panic in an unpacker.
 func (s *Session) modelCounts(expID, key string, want int, build func(ctx context.Context) ([]uint64, error)) ([]uint64, error) {
-	run := func() (counts []uint64, err error) {
-		pprof.Do(context.Background(), pprof.Labels("experiment", expID, "stage", "model"), func(ctx context.Context) {
-			counts, err = build(ctx)
-		})
-		return counts, err
-	}
-	if s.cfg.NoModelArtifact {
-		return run()
-	}
 	v, err := ModelTier.Get(key, func() (any, uint64, error) {
 		var counts []uint64
 		var ok bool
@@ -82,7 +73,10 @@ func (s *Session) modelCounts(expID, key string, want int, build func(ctx contex
 		})
 		if !ok {
 			var err error
-			if counts, err = run(); err != nil {
+			pprof.Do(context.Background(), pprof.Labels("experiment", expID, "stage", "model"), func(ctx context.Context) {
+				counts, err = build(ctx)
+			})
+			if err != nil {
 				return nil, 0, err
 			}
 			artifact.Save(artifact.KindModelStats, key, func() []byte { return marshalCounts(counts) })

@@ -272,22 +272,28 @@ func TestModelLanesMatchReference(t *testing.T) {
 // gshare-4K lane they read is a hit in the annotated tier. The apps
 // study's other predictors (gshare-64K for dual-path, the hybrid's two
 // components) are annotated beforehand, so any new miss can only be a
-// gshare-4K walk.
+// gshare-4K walk. The model tier starts empty, so those runs are live; a
+// second pass is served every count vector from the tier and must render
+// the live runs' bytes.
 func TestModelsReadFig10Lanes(t *testing.T) {
 	defer sim.AnnotatedTier.Reset()
 	defer sim.BucketTier.Reset()
 	defer workload.TraceTier.Reset()
+	defer ModelTier.Reset()
 	sim.AnnotatedTier.Reset()
-	s := NewSession(Config{Branches: 20_000, NoModelArtifact: true})
-	run := func(id string) {
+	ModelTier.Reset()
+	s := NewSession(Config{Branches: 20_000})
+	run := func(id string) string {
 		t.Helper()
 		e, err := ByID(id)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := e.Run(s); err != nil {
+		o, err := e.Run(s)
+		if err != nil {
 			t.Fatalf("%s: %v", id, err)
 		}
+		return o.Text
 	}
 	run("fig10")
 	for _, p := range []PredSpec{predGshare64K, predBimodal12, predGshare12x12} {
@@ -296,8 +302,10 @@ func TestModelsReadFig10Lanes(t *testing.T) {
 		}
 	}
 	before := sim.AnnotatedTier.Stats()
-	for _, id := range []string{"pipeline", "gating", "apps"} {
-		run(id)
+	models := []string{"pipeline", "gating", "apps"}
+	live := map[string]string{}
+	for _, id := range models {
+		live[id] = run(id)
 	}
 	after := sim.AnnotatedTier.Stats()
 	if after.Misses != before.Misses {
@@ -305,5 +313,18 @@ func TestModelsReadFig10Lanes(t *testing.T) {
 	}
 	if after.Hits == before.Hits {
 		t.Error("the models read no annotated lanes")
+	}
+
+	built := ModelTier.Stats().Misses
+	if built == 0 {
+		t.Fatal("the models ran nothing through the model tier")
+	}
+	for _, id := range models {
+		if got := run(id); got != live[id] {
+			t.Errorf("%s served from the model tier differs from its live run", id)
+		}
+	}
+	if st := ModelTier.Stats(); st.Misses != built {
+		t.Errorf("the served pass ran %d models live", st.Misses-built)
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	"branchconf/internal/analysis"
 	"branchconf/internal/core"
 	"branchconf/internal/predictor"
 	"branchconf/internal/sim"
@@ -64,9 +63,8 @@ func runRealTrace(s *Session) (*Output, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Resolve the budget against the recording up front so every engine —
-	// monolithic, streaming, annotated or batched — keys its artifacts on
-	// the same branch count.
+	// Resolve the budget against the recording up front so monolithic and
+	// streaming runs key their artifacts on the same branch count.
 	n := cfg.Branches
 	if n == 0 || n > spec.TraceCount {
 		n = spec.TraceCount
@@ -117,22 +115,15 @@ func runRealTrace(s *Session) (*Output, error) {
 			newMechs[i] = c.newM
 		}
 		// The budget differs from the session's, so these passes bypass the
-		// session pass cache and hit the sim engine directly — streaming
-		// when the session streams, with nil Source/Buffer picking the sim
-		// defaults (the spec's own trace-file source).
+		// session pass cache and hit the session's engine directly —
+		// streaming when the session streams, with nil Source/Buffer picking
+		// the sim defaults (the spec's own trace-file source).
 		scfg := sim.SuiteConfig{
 			Branches:        n,
 			Specs:           []workload.Spec{spec},
-			NoTally:         cfg.NoTally,
 			SegmentBranches: cfg.SegmentBranches,
 		}
-		var rs []sim.SuiteResult
-		var err error
-		if cfg.NoAnnotate {
-			rs, err = sim.RunSuiteBatch(scfg, leg.pred.New, newMechs)
-		} else {
-			rs, err = sim.RunSuiteAnnotated(scfg, leg.pred.Key, leg.pred.New, newMechs)
-		}
+		rs, err := s.engine(scfg, leg.pred, newMechs)
 		if err != nil {
 			return nil, fmt.Errorf("realtrace %s: %w", leg.pred.Key, err)
 		}
@@ -145,13 +136,7 @@ func runRealTrace(s *Session) (*Output, error) {
 				fmt.Fprintf(&b, "  %18s", "—")
 				continue
 			}
-			var curve analysis.Curve
-			if cfg.NoCurveArtifact {
-				curve = analysis.BuildCurve(analysis.CompositePooled(rs[ri].Stats()))
-			} else {
-				curve = s.Pooled(DerivedRuns(rs[ri].Stats()...)).Curve()
-			}
-			cov := curve.MispredsAt(20)
+			cov := s.Pooled(DerivedRuns(rs[ri].Stats()...)).Curve().MispredsAt(20)
 			fmt.Fprintf(&b, "  %17.2f%%", cov)
 			o.Scalars[leg.pred.Key+"/"+c.label+"@20%"] = cov
 			ri++

@@ -45,10 +45,11 @@ func TestRealTraceNeedsAFile(t *testing.T) {
 	}
 }
 
-// TestRealTraceEnginesAgree pins the tentpole contract: the experiment
-// renders native TAGE/perceptron confidence next to the CIR tables, and
-// its bytes are identical across the annotated, batched, streaming, and
-// artifact-free engine configurations.
+// TestRealTraceEnginesAgree: the experiment renders native
+// TAGE/perceptron confidence next to the CIR tables, and its bytes are
+// identical monolithic and streaming and wherever the trace file lives.
+// TestAnnotatedMatchesInterleavedArtefacts holds it to the interleaved
+// reference engine.
 func TestRealTraceEnginesAgree(t *testing.T) {
 	path := writeRealTrace(t, 4000)
 	e, err := ByID("realtrace")
@@ -75,20 +76,12 @@ func TestRealTraceEnginesAgree(t *testing.T) {
 			t.Fatalf("missing scalar %q in %v", scalar, ref.Scalars)
 		}
 	}
-	variants := map[string]Config{
-		"batched":           {TraceFile: path, NoAnnotate: true},
-		"no-tally":          {TraceFile: path, NoTally: true},
-		"streaming":         {TraceFile: path, SegmentBranches: 512},
-		"no-curve-artifact": {TraceFile: path, NoCurveArtifact: true},
+	streamed, err := e.RunOnce(Config{TraceFile: path, SegmentBranches: 512})
+	if err != nil {
+		t.Fatal(err)
 	}
-	for name, cfg := range variants {
-		out, err := e.RunOnce(cfg)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if out.Text != ref.Text {
-			t.Fatalf("%s engine diverges:\n--- annotated ---\n%s--- %s ---\n%s", name, ref.Text, name, out.Text)
-		}
+	if streamed.Text != ref.Text {
+		t.Fatalf("streaming diverges:\n--- monolithic ---\n%s--- streaming ---\n%s", ref.Text, streamed.Text)
 	}
 
 	// A copy of the same bytes at a different path is the same trace: the

@@ -37,7 +37,7 @@ type pooledSession struct {
 
 // DefaultMaxSessions bounds resident sessions when a pool is built with
 // max <= 0. Distinct configurations are rare in practice (budget sweeps,
-// A/B engine switches), so a handful covers real mixes.
+// segment sizes, recorded traces), so a handful covers real mixes.
 const DefaultMaxSessions = 8
 
 // NewSessionPool returns a pool holding at most max sessions (<=0 uses

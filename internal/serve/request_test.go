@@ -23,6 +23,11 @@ func TestRequestKeyNormalization(t *testing.T) {
 			t.Errorf("distinct request %d collides: %s", i, r.Key())
 		}
 	}
+	// Streaming is resolved from the budget and segment size alone; no
+	// other engine switch enters the identity.
+	if strings.Contains(a.Key(), "nostream") {
+		t.Errorf("key carries a removed engine switch: %s", a.Key())
+	}
 }
 
 // TestRequestTraceIdentity: a trace-bearing request keys on the file's
@@ -64,30 +69,16 @@ func TestResolveSegment(t *testing.T) {
 	cases := []struct {
 		name              string
 		branches, segment uint64
-		noStream          bool
 		want              uint64
-		wantErr           string
 	}{
 		{name: "default-budget-monolithic", branches: 0, want: 0},
 		{name: "explicit-segment", branches: 0, segment: 4096, want: 4096},
 		{name: "auto-above-ceiling", branches: MaterializeCeiling + 1, want: AutoSegmentBranches},
-		{name: "no-stream-small", branches: 10000, noStream: true, want: 0},
-		{name: "no-stream-above-ceiling", branches: MaterializeCeiling + 1, noStream: true, wantErr: "materialization ceiling"},
-		{name: "no-stream-with-segment", segment: 4096, noStream: true, wantErr: "conflicts"},
+		{name: "no-stream-small", branches: 10000, want: 0},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			got, err := ResolveSegment(tc.branches, tc.segment, tc.noStream)
-			if tc.wantErr != "" {
-				if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
-					t.Fatalf("err = %v, want substring %q", err, tc.wantErr)
-				}
-				return
-			}
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got != tc.want {
+			if got := ResolveSegment(tc.branches, tc.segment); got != tc.want {
 				t.Fatalf("segment = %d, want %d", got, tc.want)
 			}
 		})

@@ -18,10 +18,6 @@ import (
 
 // Config parameterises a resident confidence server.
 type Config struct {
-	// Defaults is the engine configuration requests overlay their budget
-	// and segmenting onto (the daemon's startup switches: engine bypasses
-	// for A/B runs, etc.).
-	Defaults exp.Config
 	// Parallel bounds concurrent experiments within one report request.
 	Parallel int
 	// MaxSessions bounds resident sessions (distinct request configs);
@@ -260,7 +256,7 @@ func (s *Server) build(ctx context.Context, req ReportRequest) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	session := s.pool.Get(req.SessionConfig(s.cfg.Defaults, segment))
+	session := s.pool.Get(req.SessionConfig(segment))
 	b, err := BuildReport(session, req, BuildOptions{Parallel: s.cfg.Parallel, Now: s.cfg.Now})
 	if err != nil {
 		return nil, err

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -223,7 +224,17 @@ func TestServerRejectsBadRequests(t *testing.T) {
 	if resp := post(`{"nonsense_field":1}`); resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("unknown field: status %d, want 400", resp.StatusCode)
 	}
-	resp, err := http.Get(ts.URL + "/v1/report")
+	// The removed streaming switch fails closed, naming the field.
+	resp, err := http.Post(ts.URL+"/v1/report", "application/json", strings.NewReader(`{"branches":10000,"no_stream":true}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), `"no_stream"`) {
+		t.Errorf("no_stream: status %d body %q, want 400 naming the field", resp.StatusCode, body)
+	}
+	resp, err = http.Get(ts.URL + "/v1/report")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -332,7 +332,7 @@ func (s *annotatedSlot) release() {
 // reach a benchmark's slot pays the annotation walk (or the cache claim),
 // later chunks wait on the slot and go straight to tally/replay.
 //
-// Factorable mechanisms (unless cfg.NoTally, or the mechanism also reads
+// Factorable mechanisms (unless cfg.noTally, or the mechanism also reads
 // predictor state) are served by the stage-3 bucket-stream cache: their
 // result shares the geometry's immutable base histogram, and the per-branch
 // walk happens at most once per geometry process-wide. The rest replay on
@@ -386,7 +386,7 @@ func runMechChunk(cfg SuiteConfig, specs []workload.Spec, anns []annotatedSlot, 
 		// they claim factorability — their bucket reads predictor state the
 		// geometry alone cannot reproduce.
 		tallied := make([]bool, len(chunk))
-		if !cfg.NoTally {
+		if !cfg.noTally {
 			var terr error
 			pprof.Do(context.Background(), pprof.Labels("benchmark", spec.Name, "stage", "tally"), func(context.Context) {
 				for k, j := range chunk {

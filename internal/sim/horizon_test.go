@@ -56,7 +56,7 @@ func TestHorizonsMatchIndependentPasses(t *testing.T) {
 	horizons := []uint64{291, 1000, 1000, n}
 	newPred := func() predictor.Predictor { return predictor.Gshare64K() }
 	for _, noTally := range []bool{false, true} {
-		cfg := SuiteConfig{Specs: workload.Suite()[:2], NoTally: noTally}
+		cfg := SuiteConfig{Specs: workload.Suite()[:2], noTally: noTally}
 		want := horizonOracle(t, cfg, horizons, "gshare-64K", newPred, streamTestMechs())
 		for _, size := range []uint64{1, 97, n, 0} {
 			scfg := cfg

@@ -174,11 +174,11 @@ type SuiteConfig struct {
 	// falls back to the process-wide workload.Materialize cache. It must be
 	// deterministic per (spec, branches) and safe for concurrent calls.
 	Buffer func(spec workload.Spec, branches uint64) (*trace.ReplayBuffer, error)
-	// NoTally disables the stage-3 tally engine: factorable mechanisms are
+	// noTally disables the stage-3 tally engine: factorable mechanisms are
 	// replayed per-variant on the stage-2 path instead of being served from
 	// geometry-keyed bucket streams. Results are byte-identical either way;
-	// the switch exists for A/B benchmarking and fault isolation.
-	NoTally bool
+	// only this package's tally-versus-replay tests set it.
+	noTally bool
 	// SegmentBranches, when non-zero, switches RunSuiteAnnotated to the
 	// segmented streaming engine: each benchmark's trace is walked in
 	// segments of this many branches with annotation of the next segment

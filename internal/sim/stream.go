@@ -273,7 +273,7 @@ func streamUnitOnce(cfg SuiteConfig, spec workload.Spec, horizons []uint64, pred
 
 	// Partition mechanisms: resumable factorable geometries tally per
 	// segment through a shared lane walk; everything else (StateCoupled,
-	// non-factorable, or all of them under NoTally) replays per segment
+	// non-factorable, or all of them under noTally) replays per segment
 	// with accumulators persisting across segments.
 	var lanes []*geomLane
 	laneByGeom := map[string]int{}
@@ -283,7 +283,7 @@ func streamUnitOnce(cfg SuiteConfig, spec workload.Spec, horizons []uint64, pred
 	for j, m := range mechs {
 		fm, resumable := m.(core.Resumable)
 		_, sc := m.(core.StateCoupled)
-		if !cfg.NoTally && resumable && !sc {
+		if !cfg.noTally && resumable && !sc {
 			key := fm.GeometryKey()
 			i, ok := laneByGeom[key]
 			if !ok {

@@ -29,9 +29,9 @@ import (
 // The factoring is exact: the lane records precisely the buckets the
 // stage-2 replay would feed its accumulator, so the histogram has
 // identical integer counts and every downstream artefact is byte-identical
-// (asserted by TestBucketStreamMatchesReplay and the tally twins of the
-// engine determinism tests). SuiteConfig.NoTally disables the stage for
-// A/B benchmarking.
+// (asserted by TestTallyMatchesReplay and its siblings, which set
+// SuiteConfig.noTally, and by the exp package's differential test against
+// the interleaved reference).
 
 // BucketStream is the stage-3 artifact for one (benchmark, predictor
 // config, geometry) triple: the packed per-branch bucket lane and the base

@@ -76,13 +76,13 @@ func TestTallyMatchesReplay(t *testing.T) {
 	)
 
 	replayCfg := cfg
-	replayCfg.NoTally = true
+	replayCfg.noTally = true
 	want, err := RunSuiteAnnotated(replayCfg, "gshare-64K", newPred, newMechs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rep := BucketTier.Stats(); rep.Hits != 0 || rep.Misses != 0 {
-		t.Fatalf("NoTally run touched the bucket cache: %d hits, %d misses", rep.Hits, rep.Misses)
+		t.Fatalf("noTally run touched the bucket cache: %d hits, %d misses", rep.Hits, rep.Misses)
 	}
 
 	got, err := RunSuiteAnnotated(cfg, "gshare-64K", newPred, newMechs)
@@ -142,7 +142,7 @@ func TestTallyMatchesReplayParallel(t *testing.T) {
 
 	SetParallelism(1)
 	replayCfg := cfg
-	replayCfg.NoTally = true
+	replayCfg.noTally = true
 	want, err := RunSuiteAnnotated(replayCfg, "gshare-64K", newPred, newMechs)
 	if err != nil {
 		t.Fatal(err)
@@ -172,7 +172,7 @@ func TestBucketCacheBound(t *testing.T) {
 		func() core.Mechanism { return core.PaperOneLevel(core.IndexPC) },
 	}
 	replayCfg := cfg
-	replayCfg.NoTally = true
+	replayCfg.noTally = true
 	want, err := RunSuiteAnnotated(replayCfg, "gshare-64K", newPred, newMechs)
 	if err != nil {
 		t.Fatal(err)
