@@ -3,8 +3,10 @@ package apps
 import (
 	"testing"
 
+	"branchconf/internal/analysis"
 	"branchconf/internal/core"
 	"branchconf/internal/predictor"
+	"branchconf/internal/sim"
 	"branchconf/internal/trace"
 	"branchconf/internal/workload"
 )
@@ -20,6 +22,17 @@ func benchSource(t *testing.T, name string, n uint64) trace.Source {
 		t.Fatal(err)
 	}
 	return src
+}
+
+// histogram replays src through pred and mech and returns the run's
+// per-bucket tallies.
+func histogram(t *testing.T, src trace.Source, pred predictor.Predictor, mech core.Mechanism) analysis.BucketStats {
+	t.Helper()
+	rs, err := sim.RunBatch(src, pred, []core.Mechanism{mech})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rs[0].Buckets
 }
 
 func TestDualPathAccounting(t *testing.T) {
@@ -172,10 +185,7 @@ func TestReverserNeverHurtsOnProfiledData(t *testing.T) {
 
 func TestReverserEmptySetIsIdentity(t *testing.T) {
 	src := benchSource(t, "groff", 20000)
-	res, err := RunReverser(src, predictor.Gshare64K(), core.PaperResetting(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := Reverse(histogram(t, src, predictor.Gshare64K(), core.PaperResetting()), nil)
 	if res.Reversals != 0 || res.ReversedMisses != res.BaseMisses {
 		t.Fatalf("empty set changed behaviour %+v", res)
 	}
@@ -187,10 +197,7 @@ func TestReverserPaperFinding(t *testing.T) {
 	// reversal set on the big predictor. This reproduces the paper's
 	// implicit caveat for the reverser application.
 	src := benchSource(t, "groff", 300000)
-	set, err := ProfileReverseSet(src, predictor.Gshare64K(), core.PaperResetting(), 0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
+	set := ReverseSet(histogram(t, src, predictor.Gshare64K(), core.PaperResetting()), 0.5)
 	if len(set) > 2 {
 		t.Fatalf("reversal set unexpectedly large: %v", set)
 	}

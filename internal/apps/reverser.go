@@ -15,7 +15,7 @@ import (
 // inverted. Whether any bucket actually exceeds 50% misprediction rate is
 // an empirical question — the paper's Table 1 shows the hottest resetting-
 // counter bucket at 37.6%, so a naive "reverse the lowest bucket" hurts.
-// ProfileReverser therefore derives the reversal set from a profiling pass:
+// ReverserStudy therefore derives the reversal set from a profiling pass:
 // only buckets measured above the threshold get reversed.
 //
 // The reverser trains on the original prediction's correctness, so it never
@@ -79,37 +79,18 @@ func Reverse(eval analysis.BucketStats, reverseSet []uint64) ReverserResult {
 	return res
 }
 
-// ProfileReverseSet runs a profiling pass of src through pred and mech and
-// returns ReverseSet of its histogram.
-func ProfileReverseSet(src trace.Source, pred predictor.Predictor, mech core.Mechanism, threshold float64) ([]uint64, error) {
-	run, err := sim.Run(src, pred, mech)
-	if err != nil {
-		return nil, err
-	}
-	return ReverseSet(run.Buckets, threshold), nil
-}
-
-// RunReverser replays src through pred and mech and evaluates reverseSet
-// on the run's histogram. The predictor and mechanism must be fresh
-// instances (the profiling pass has its own).
-func RunReverser(src trace.Source, pred predictor.Predictor, mech core.Mechanism, reverseSet []uint64) (ReverserResult, error) {
-	run, err := sim.Run(src, pred, mech)
-	if err != nil {
-		return ReverserResult{}, err
-	}
-	return Reverse(run.Buckets, reverseSet), nil
-}
-
-// ReverserStudy profiles on one seed of a benchmark and evaluates on the
-// benchmark itself, returning the result and the reversal set size.
+// ReverserStudy profiles a reversal set on one walk of a benchmark and
+// evaluates it on another, returning the result and the reversal set size.
+// Each walk runs a fresh predictor and mechanism.
 func ReverserStudy(profileSrc, evalSrc trace.Source, newPred func() predictor.Predictor, newMech func() core.Mechanism, threshold float64) (ReverserResult, int, error) {
-	set, err := ProfileReverseSet(profileSrc, newPred(), newMech(), threshold)
+	profile, err := sim.RunBatch(profileSrc, newPred(), []core.Mechanism{newMech()})
 	if err != nil {
 		return ReverserResult{}, 0, fmt.Errorf("apps: profiling reverser: %w", err)
 	}
-	res, err := RunReverser(evalSrc, newPred(), newMech(), set)
+	set := ReverseSet(profile[0].Buckets, threshold)
+	eval, err := sim.RunBatch(evalSrc, newPred(), []core.Mechanism{newMech()})
 	if err != nil {
 		return ReverserResult{}, 0, fmt.Errorf("apps: evaluating reverser: %w", err)
 	}
-	return res, len(set), nil
+	return Reverse(eval[0].Buckets, set), len(set), nil
 }

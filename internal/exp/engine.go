@@ -195,7 +195,7 @@ func (p Pass) Pick(idx ...int) RunSet {
 // Suite returns one whole-suite pass per mechanism, all simulated under
 // pred, batching every mechanism not already cached into a single
 // predictor pass per benchmark. Results are index-aligned with mechs and
-// identical to per-mechanism sim.RunSuite calls.
+// identical to one call per mechanism.
 //
 // Concurrent callers requesting overlapping sets never duplicate a pass:
 // the first claimant of a (predictor, mechanism) key simulates it, later

@@ -55,10 +55,11 @@ func resetEngineTiers() {
 // tally-factored figures (fig5-fig8, fig11), the state-coupled strength
 // mechanism, every registered predictor (baseline, including the
 // target-reading BTFN and agree predictors), the long-horizon sweep and a
-// recorded ChampSim trace.
+// recorded ChampSim trace. The context-switch treatments (ctxswitch)
+// render in legs of their own, at a budget that crosses their switches.
 func TestAnnotatedMatchesInterleavedArtefacts(t *testing.T) {
 	if testing.Short() {
-		t.Skip("renders a registry slice through eight engine configurations")
+		t.Skip("renders a registry slice through eight engine configurations and ctxswitch through four")
 	}
 	const budget = 128
 	t.Cleanup(func() {
@@ -68,7 +69,7 @@ func TestAnnotatedMatchesInterleavedArtefacts(t *testing.T) {
 	ids := []string{"fig2", "fig5", "fig6", "fig7", "fig8", "fig11", "table1", "strength", "thresholds", "baseline", "longhorizon", "realtrace"}
 	traceFile := writeRealTrace(t, budget)
 
-	render := func(s *Session, reference bool) map[string][]byte {
+	render := func(s *Session, reference bool, ids ...string) map[string][]byte {
 		t.Helper()
 		out := make(map[string][]byte, len(ids))
 		for _, id := range ids {
@@ -93,18 +94,40 @@ func TestAnnotatedMatchesInterleavedArtefacts(t *testing.T) {
 	resetEngineTiers()
 	ref := NewSession(Config{Branches: budget, TraceFile: traceFile})
 	ref.engine = referenceEngine
-	want := render(ref, true)
+	want := render(ref, true, ids...)
 
 	for _, workers := range []int{1, runtime.NumCPU()} {
 		for _, segment := range []uint64{0, 1, 61, budget} {
 			t.Run(fmt.Sprintf("workers=%d/segment=%d", workers, segment), func(t *testing.T) {
 				sim.SetParallelism(workers)
 				resetEngineTiers()
-				got := render(NewSession(Config{Branches: budget, SegmentBranches: segment, TraceFile: traceFile}), false)
+				got := render(NewSession(Config{Branches: budget, SegmentBranches: segment, TraceFile: traceFile}), false, ids...)
 				for _, id := range ids {
 					if !bytes.Equal(got[id], want[id]) {
 						t.Errorf("%s: production artefact differs from the interleaved reference", id)
 					}
+				}
+			})
+		}
+	}
+
+	// The context-switch treatments act every switchInterval branches, so
+	// ctxswitch renders at a budget past two switches. A segment size that
+	// does not divide the interval lands switches mid-segment.
+	const switchBudget = 2*switchInterval + 2_000
+	sim.SetParallelism(1)
+	resetEngineTiers()
+	ref = NewSession(Config{Branches: switchBudget})
+	ref.engine = referenceEngine
+	wantSwitch := render(ref, true, "ctxswitch")["ctxswitch"]
+	for _, workers := range []int{1, runtime.NumCPU()} {
+		for _, segment := range []uint64{0, 9_973} {
+			t.Run(fmt.Sprintf("ctxswitch/workers=%d/segment=%d", workers, segment), func(t *testing.T) {
+				sim.SetParallelism(workers)
+				resetEngineTiers()
+				got := render(NewSession(Config{Branches: switchBudget, SegmentBranches: segment}), false, "ctxswitch")
+				if !bytes.Equal(got["ctxswitch"], wantSwitch) {
+					t.Error("ctxswitch: production artefact differs from the interleaved reference")
 				}
 			})
 		}

@@ -190,10 +190,11 @@ func registerExtensions() {
 				if err != nil {
 					return nil, err
 				}
-				res, err := sim.Run(src, predictor.Gshare64K(), core.PaperOneLevel(core.IndexPCxorBHR))
+				rs, err := sim.RunBatch(src, predictor.Gshare64K(), []core.Mechanism{core.PaperOneLevel(core.IndexPCxorBHR)})
 				if err != nil {
 					return nil, err
 				}
+				res := rs[0]
 				c := s.SingleRun(DerivedRuns(res.Buckets)).Curve()
 				label := fmt.Sprintf("mix-q%d", quantum)
 				o.Series = append(o.Series, analysis.Series{Label: label, Curve: c})
@@ -376,49 +377,75 @@ func registerExtensions() {
 		Paper: "conjecture: keeping CIRs but setting the oldest bit to 1 performs like full nonzero reinitialisation",
 		Run: func(s *Session) (*Output, error) {
 			o := &Output{ID: "ctxswitch", Title: "context switches", Scalars: map[string]float64{}}
-			// Switch every 64k branches: a few dozen switches per run.
-			const interval = 64_000
-			policies := []struct {
-				label string
-				init  core.InitPolicy
-				apply func(core.Mechanism)
-			}{
-				{"keep", core.InitOnes, nil},
-				{"flush-ones", core.InitOnes, func(m core.Mechanism) { m.Reset() }},
-				{"flush-zeros", core.InitZeros, func(m core.Mechanism) { m.Reset() }},
-				{"mark-oldest", core.InitOnes, func(m core.Mechanism) {
-					m.(*core.OneLevel).MarkOldest()
-				}},
+			// The treatments touch only the confidence table, so all four
+			// share the predictor's annotated streams like any other
+			// mechanism; "keep" is the plain one-level pass.
+			labels := []string{"keep", "flush-ones", "flush-zeros", "mark-oldest"}
+			srs, err := s.Suite(predGshare64K,
+				mechOneLevel(core.IndexPCxorBHR),
+				mechSwitched(labels[1], core.InitOnes, (*core.OneLevel).Reset),
+				mechSwitched(labels[2], core.InitZeros, (*core.OneLevel).Reset),
+				mechSwitched(labels[3], core.InitOnes, (*core.OneLevel).MarkOldest))
+			if err != nil {
+				return nil, err
 			}
-			// One batched walk per benchmark: the flush policies only touch
-			// their own mechanism, so all four share the predictor pass.
-			perPolicy := make([][]analysis.BucketStats, len(policies))
-			for _, spec := range workload.Suite() {
-				src, err := s.Source(spec)
-				if err != nil {
-					return nil, err
-				}
-				mechs := make([]core.Mechanism, len(policies))
-				flushes := make([]sim.FlushPolicy, len(policies))
-				for i, pol := range policies {
-					mechs[i] = core.NewOneLevel(core.OneLevelConfig{Scheme: core.IndexPCxorBHR, Init: pol.init})
-					flushes[i] = sim.FlushPolicy{Name: pol.label, Apply: pol.apply}
-				}
-				rs, err := sim.RunWithFlushBatch(src, predictor.Gshare64K(), mechs, interval, flushes)
-				if err != nil {
-					return nil, err
-				}
-				for i, r := range rs {
-					perPolicy[i] = append(perPolicy[i], r.Buckets)
-				}
-			}
-			for i, pol := range policies {
-				c := s.Pooled(DerivedRuns(perPolicy[i]...)).Curve()
-				o.Series = append(o.Series, analysis.Series{Label: pol.label, Curve: c})
-				o.Scalars[pol.label+"@20%"] = c.MispredsAt(20)
+			for i, label := range labels {
+				c := s.Pooled(srs[i].Tallies()).Curve()
+				o.Series = append(o.Series, analysis.Series{Label: label, Curve: c})
+				o.Scalars[label+"@20%"] = c.MispredsAt(20)
 			}
 			renderFigure(o)
 			return o, nil
 		},
 	})
+}
+
+// switchInterval is the §5.4 context-switch period in branches: a few
+// dozen switches per default-budget run.
+const switchInterval = 64_000
+
+// switched is a one-level mechanism whose table takes a context-switch
+// treatment every switchInterval branches. Only the confidence table is
+// disturbed — §5.4 holds the predictor fixed to isolate table
+// initialisation — so it rides a session pass like any passive mechanism.
+// It wraps rather than embeds the table: the table's fused and tally fast
+// paths would skip the treatment, so every branch goes through Bucket and
+// Update.
+type switched struct {
+	m     *core.OneLevel
+	label string
+	apply func(*core.OneLevel)
+	n     uint64 // branches since the last switch
+}
+
+// mechSwitched is the paper one-level PC⊕BHR mechanism, its table filled
+// by init, under the given switch treatment.
+func mechSwitched(label string, init core.InitPolicy, apply func(*core.OneLevel)) MechSpec {
+	return Mech(func() core.Mechanism {
+		m := core.NewOneLevel(core.OneLevelConfig{Scheme: core.IndexPCxorBHR, Init: init})
+		return &switched{m: m, label: label, apply: apply}
+	})
+}
+
+// Bucket applies the treatment when a switch falls before this branch.
+func (w *switched) Bucket(r trace.Record) uint64 {
+	if w.n == switchInterval {
+		w.apply(w.m)
+		w.n = 0
+	}
+	return w.m.Bucket(r)
+}
+
+func (w *switched) Update(r trace.Record, incorrect bool) {
+	w.m.Update(r, incorrect)
+	w.n++
+}
+
+func (w *switched) Reset() {
+	w.m.Reset()
+	w.n = 0
+}
+
+func (w *switched) Name() string {
+	return fmt.Sprintf("ctxswitch-%s-every%d-%s", w.label, switchInterval, w.m.Name())
 }

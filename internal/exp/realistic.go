@@ -44,11 +44,11 @@ func init() {
 				if err != nil {
 					return nil, err
 				}
-				evalRes, err := sim.Run(evalSrc, predictor.Gshare64K(), core.NewStaticProfile())
+				evalRes, err := sim.RunBatch(evalSrc, predictor.Gshare64K(), []core.Mechanism{core.NewStaticProfile()})
 				if err != nil {
 					return nil, err
 				}
-				evalRuns = append(evalRuns, evalRes.Buckets)
+				evalRuns = append(evalRuns, evalRes[0].Buckets)
 			}
 			trainCS := s.Distinct(trainSR.Tallies())
 			evalCS := s.Distinct(DerivedRuns(evalRuns...))

@@ -31,7 +31,7 @@ import (
 // predictor-coupled mechanism protocol (core.StateCoupled) reads state the
 // annotation lane captured before the predictor trained — precisely what a
 // live interleaved pass would have seen. Replay is therefore byte-identical
-// to Run/RunBatch under any chunking or parallelism.
+// to RunBatch under any chunking or parallelism.
 
 // AnnotatedStream is the predictor stage's output for one (benchmark,
 // predictor-config) pair: one mispredict bit per branch, plus an optional
@@ -238,17 +238,20 @@ func replayAnnotated(flat *trace.FlatView, ann *AnnotatedStream, mechs []core.Me
 // them per (benchmark, mechanism) dominated the engine's allocation
 // profile. Reset restores exactly the constructed state, and the replayed
 // streams are immutable, so results are index-aligned with newMechs and
-// byte-identical to RunSuiteBatch (and hence to per-mechanism RunSuite
-// calls) for the same configuration.
+// byte-identical to RunSuiteBatch for the same configuration.
 //
 // predKey must uniquely identify the predictor configuration built by
-// newPred; it keys the annotated cache. An empty predKey disables caching
-// and falls back to the interleaved single-pass engine. Benchmarks whose
-// mechanisms need predictor state the predictor cannot annotate also fall
-// back, per benchmark, to the interleaved engine.
+// newPred; it keys the annotated cache and must not be empty. A mechanism
+// that reads predictor state (core.StateCoupled) needs a predictor that
+// annotates it (predictor.StateAnnotator); any other pairing fails before
+// a trace is read (see checkAnnotatable).
 func RunSuiteAnnotated(cfg SuiteConfig, predKey string, newPred func() predictor.Predictor, newMechs []func() core.Mechanism) ([]SuiteResult, error) {
 	if predKey == "" {
-		return RunSuiteBatch(cfg, newPred, newMechs)
+		return nil, errors.New("sim: the annotated engine needs a predictor key")
+	}
+	mechs := buildMechs(newMechs)
+	if err := checkAnnotatable(newPred, mechs); err != nil {
+		return nil, err
 	}
 	if cfg.SegmentBranches > 0 {
 		rs, err := runSuiteStreaming(cfg, []uint64{cfg.Branches}, predKey, newPred, newMechs)
@@ -276,7 +279,7 @@ func RunSuiteAnnotated(cfg SuiteConfig, predKey string, newPred func() predictor
 			defer wg.Done()
 			release := acquireSlot()
 			defer release()
-			errs[c] = runMechChunk(cfg, specs, anns, predKey, newPred, newMechs, chunk, perSpec)
+			errs[c] = runMechChunk(cfg, specs, anns, predKey, newPred, mechs, chunk, perSpec)
 		}()
 	}
 	wg.Wait()
@@ -327,20 +330,21 @@ func (s *annotatedSlot) release() {
 
 // runMechChunk replays every benchmark through one chunk of mechanisms,
 // writing results into perSpec[spec][mech]. The chunk's mechanism instances
-// are built once and Reset between benchmarks. Stage labels "annotate",
-// "tally" and "replay" mark the work for CPU profiles; the first chunk to
-// reach a benchmark's slot pays the annotation walk (or the cache claim),
-// later chunks wait on the slot and go straight to tally/replay.
+// (its indices into all) are built once per suite run and Reset between
+// benchmarks. Stage labels "annotate", "tally" and "replay" mark the work
+// for CPU profiles; the first chunk to reach a benchmark's slot pays the
+// annotation walk (or the cache claim), later chunks wait on the slot and
+// go straight to tally/replay.
 //
 // Factorable mechanisms (unless cfg.noTally, or the mechanism also reads
 // predictor state) are served by the stage-3 bucket-stream cache: their
 // result shares the geometry's immutable base histogram, and the per-branch
 // walk happens at most once per geometry process-wide. The rest replay on
 // the stage-2 path.
-func runMechChunk(cfg SuiteConfig, specs []workload.Spec, anns []annotatedSlot, predKey string, newPred func() predictor.Predictor, newMechs []func() core.Mechanism, chunk []int, perSpec [][]Result) error {
+func runMechChunk(cfg SuiteConfig, specs []workload.Spec, anns []annotatedSlot, predKey string, newPred func() predictor.Predictor, all []core.Mechanism, chunk []int, perSpec [][]Result) error {
 	mechs := make([]core.Mechanism, len(chunk))
 	for k, j := range chunk {
-		mechs[k] = newMechs[j]()
+		mechs[k] = all[j]
 	}
 	accums := make([]*bucketAccum, len(chunk))
 	for i, spec := range specs {
@@ -357,28 +361,6 @@ func runMechChunk(cfg SuiteConfig, specs []workload.Spec, anns []annotatedSlot, 
 
 		for _, m := range mechs {
 			m.Reset()
-		}
-		if !ann.HasState() {
-			needsState := false
-			for _, m := range mechs {
-				if _, sc := m.(core.StateCoupled); sc {
-					needsState = true
-					break
-				}
-			}
-			if needsState {
-				// The predictor cannot annotate the state a mechanism in
-				// this chunk reads; run this benchmark interleaved instead.
-				anns[i].release()
-				rs, err := runInterleavedUnit(cfg, spec, newPred, mechs)
-				if err != nil {
-					return err
-				}
-				for k, j := range chunk {
-					perSpec[i][j] = rs[k]
-				}
-				continue
-			}
 		}
 
 		// Stage 3: serve factorable mechanisms from geometry-keyed bucket
@@ -474,19 +456,30 @@ func chunkIndices(n, k int) [][]int {
 	return chunks
 }
 
-// runInterleavedUnit is the per-benchmark fallback to the single-pass
-// interleaved engine, for mechanisms the annotated stream cannot serve.
-func runInterleavedUnit(cfg SuiteConfig, spec workload.Spec, newPred func() predictor.Predictor, mechs []core.Mechanism) ([]Result, error) {
-	src, err := cfg.source(spec)
-	if err != nil {
-		return nil, fmt.Errorf("sim: building %s: %w", spec.Name, err)
+// buildMechs builds one instance of each mechanism.
+func buildMechs(newMechs []func() core.Mechanism) []core.Mechanism {
+	mechs := make([]core.Mechanism, len(newMechs))
+	for j, nm := range newMechs {
+		mechs[j] = nm()
 	}
-	rs, err := RunBatch(src, newPred(), mechs)
-	if err != nil {
-		return nil, fmt.Errorf("sim: running %s: %w", spec.Name, err)
+	return mechs
+}
+
+// checkAnnotatable fails unless every state-coupled mechanism in mechs is
+// paired with a predictor that annotates its state: the annotated stream
+// is the engines' only source of predictor state. The annotated and
+// streaming engines call it once, before any trace is read. It builds a
+// predictor only when some mechanism reads state.
+func checkAnnotatable(newPred func() predictor.Predictor, mechs []core.Mechanism) error {
+	for _, m := range mechs {
+		if _, ok := m.(core.StateCoupled); !ok {
+			continue
+		}
+		pred := newPred()
+		if _, ok := pred.(predictor.StateAnnotator); ok {
+			return nil
+		}
+		return fmt.Errorf("sim: mechanism %s reads predictor state, but predictor %s does not annotate it", m.Name(), pred.Name())
 	}
-	for j := range rs {
-		rs[j].Benchmark = spec.Name
-	}
-	return rs, nil
+	return nil
 }

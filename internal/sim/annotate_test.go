@@ -68,7 +68,7 @@ func TestReplayAnnotatedMatchesRun(t *testing.T) {
 		if _, sc := m.(core.StateCoupled); sc && i == len(newMechs)-1 {
 			m = core.NewCounterStrength(solo)
 		}
-		want, err := Run(buf.Source(), solo, m)
+		want, err := runOne(buf.Source(), solo, m)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -96,7 +96,7 @@ func TestAnnotateTargetReadingPredictor(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := Run(buf.Source(), soloPred, core.NewStaticProfile())
+		want, err := runOne(buf.Source(), soloPred, core.NewStaticProfile())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -129,7 +129,7 @@ func TestAnnotateWithoutStateLane(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := Run(buf.Source(), solo, core.PaperResetting())
+	want, err := runOne(buf.Source(), solo, core.PaperResetting())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -318,7 +318,7 @@ func TestRunBatchAnnotatedStrength(t *testing.T) {
 		t.Fatal(err)
 	}
 	live := predictor.Gshare64K().(*predictor.Gshare)
-	want, err := Run(buf.Source(), live, core.NewCounterStrength(live))
+	want, err := runOne(buf.Source(), live, core.NewCounterStrength(live))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -21,10 +21,15 @@ import (
 // cost one predictor simulation instead of N.
 
 // RunBatch replays src through pred once, feeding every per-branch event to
-// each mechanism. The returned results are index-aligned with mechs and
-// byte-identical to len(mechs) separate Run calls over the same trace: each
-// mechanism observes exactly the Run protocol (Bucket before any update,
-// then Update with the outcome).
+// each mechanism under the paper's protocol: predict, read each
+// mechanism's bucket, resolve, then train the predictor and every
+// mechanism with the outcome. The returned results are index-aligned with
+// mechs, and each is byte-identical to a RunBatch over that mechanism
+// alone: mechanisms never see each other.
+//
+// It is the one predictor-in-the-loop walk: the reference the annotated
+// and streaming engines are tested against, and the walk for one-off
+// traces no engine tier would share.
 func RunBatch(src trace.Source, pred predictor.Predictor, mechs []core.Mechanism) ([]Result, error) {
 	results := make([]Result, len(mechs))
 	accums := make([]*bucketAccum, len(mechs))
@@ -67,9 +72,9 @@ func RunBatch(src trace.Source, pred predictor.Predictor, mechs []core.Mechanism
 		if anyCoupled {
 			st = annPred.AnnotationState(r)
 		}
-		// Buckets are read before the predictor trains, exactly as in Run,
-		// so predictor-coupled mechanisms (e.g. counter strength) see the
-		// same pre-update state.
+		// Buckets are read before the predictor trains, so
+		// predictor-coupled mechanisms (e.g. counter strength) see the
+		// pre-update state.
 		for i, m := range mechs {
 			if coupled[i] != nil {
 				accums[i].add(coupled[i].BucketWithState(r, st), incorrect)
@@ -98,7 +103,7 @@ var (
 )
 
 // SetParallelism bounds the number of benchmark-level simulation units
-// running at once across every RunSuite/RunSuiteBatch call. n < 1 resets to
+// running at once across every suite call. n < 1 resets to
 // runtime.NumCPU(). Parallelism never affects results — each unit owns its
 // source, predictor and mechanisms — only wall-clock time.
 //
@@ -148,7 +153,7 @@ func acquireSlot() func() {
 // fresh instance of each mechanism constructor, in one predictor pass per
 // benchmark. It returns one SuiteResult per mechanism constructor,
 // index-aligned with newMechs, each holding per-benchmark runs in suite
-// order — exactly what len(newMechs) RunSuite calls would produce, for one
+// order — exactly what one call per mechanism would produce, for one
 // predictor simulation per benchmark.
 //
 // Benchmarks run concurrently under the process-wide parallelism bound (see
@@ -203,7 +208,7 @@ func RunSuiteBatch(cfg SuiteConfig, newPred func() predictor.Predictor, newMechs
 	return out, nil
 }
 
-// DeriveEstimator reconstructs the confusion summary an online RunEstimator
+// DeriveEstimator reconstructs the confusion summary an online estimator
 // pass would have produced, from a mechanism run's per-bucket statistics.
 // The equivalence is exact: an estimator's confidence signal is a pure
 // function of the bucket read before update, which is precisely what the

@@ -57,7 +57,7 @@ func TestRunBatchMatchesRun(t *testing.T) {
 	}
 	for i, nm := range newMechs {
 		solo := predictor.Gshare64K().(*predictor.Gshare)
-		want, err := Run(tr.Source(), solo, nm(solo))
+		want, err := runOne(tr.Source(), solo, nm(solo))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -80,7 +80,7 @@ func TestRunSuiteBatchMatchesRunSuite(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, nm := range newMechs {
-		want, err := RunSuite(cfg, newPred, nm)
+		want, err := runSuiteOne(cfg, newPred, nm)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -105,11 +105,11 @@ func TestRunSuiteBatchCachedSource(t *testing.T) {
 	defer workload.TraceTier.Reset()
 	newPred := func() predictor.Predictor { return predictor.Gshare64K() }
 	newMech := func() core.Mechanism { return core.PaperResetting() }
-	want, err := RunSuite(cfg, newPred, newMech)
+	want, err := runSuiteOne(cfg, newPred, newMech)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := RunSuite(cached, newPred, newMech)
+	got, err := runSuiteOne(cached, newPred, newMech)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +132,7 @@ func TestRunSuiteErrorsJoined(t *testing.T) {
 			return spec.FiniteSource(branches)
 		},
 	}
-	_, err := RunSuite(cfg,
+	_, err := runSuiteOne(cfg,
 		func() predictor.Predictor { return predictor.Gshare64K() },
 		func() core.Mechanism { return core.PaperResetting() })
 	if err == nil {
@@ -148,7 +148,7 @@ func TestRunSuiteErrorsJoined(t *testing.T) {
 func TestDeriveEstimatorMatchesRunEstimator(t *testing.T) {
 	tr := batchTrace(t, 30000)
 	for _, threshold := range []uint64{1, 2, 4, 8} {
-		res, err := Run(tr.Source(), predictor.Gshare64K(), core.PaperResetting())
+		res, err := runOne(tr.Source(), predictor.Gshare64K(), core.PaperResetting())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -167,7 +167,7 @@ func TestDeriveEstimatorMatchesRunEstimator(t *testing.T) {
 func TestDeriveMultiMatchesRunMulti(t *testing.T) {
 	tr := batchTrace(t, 30000)
 	thresholds := []uint64{1, 4, 12}
-	res, err := Run(tr.Source(), predictor.Gshare64K(), core.PaperResetting())
+	res, err := runOne(tr.Source(), predictor.Gshare64K(), core.PaperResetting())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,14 +186,14 @@ func TestSetParallelism(t *testing.T) {
 	SetParallelism(1)
 	defer SetParallelism(0)
 	cfg := SuiteConfig{Branches: 4000, Specs: workload.Suite()[:4]}
-	a, err := RunSuite(cfg,
+	a, err := runSuiteOne(cfg,
 		func() predictor.Predictor { return predictor.Gshare64K() },
 		func() core.Mechanism { return core.PaperResetting() })
 	if err != nil {
 		t.Fatal(err)
 	}
 	SetParallelism(8)
-	b, err := RunSuite(cfg,
+	b, err := runSuiteOne(cfg,
 		func() predictor.Predictor { return predictor.Gshare64K() },
 		func() core.Mechanism { return core.PaperResetting() })
 	if err != nil {

@@ -27,7 +27,7 @@ func (f *failingSource) Next() (trace.Record, error) {
 
 func TestRunPropagatesSourceError(t *testing.T) {
 	boom := errors.New("disk on fire")
-	res, err := Run(&failingSource{n: 5, err: boom}, predictor.NewBimodal(8), core.PaperResetting())
+	res, err := runOne(&failingSource{n: 5, err: boom}, predictor.NewBimodal(8), core.PaperResetting())
 	if !errors.Is(err, boom) {
 		t.Fatalf("error %v does not wrap source error", err)
 	}
@@ -56,17 +56,8 @@ func TestRunMultiPropagatesSourceError(t *testing.T) {
 	}
 }
 
-func TestRunWithFlushPropagatesSourceError(t *testing.T) {
-	boom := errors.New("truncated trace")
-	_, err := RunWithFlush(&failingSource{n: 3, err: boom}, predictor.NewBimodal(8),
-		core.PaperOneLevel(core.IndexPCxorBHR), 100, FlushPolicy{})
-	if !errors.Is(err, boom) {
-		t.Fatalf("error %v does not wrap source error", err)
-	}
-}
-
 func TestRunEmptySource(t *testing.T) {
-	res, err := Run(trace.Trace{}.Source(), predictor.NewBimodal(8), core.PaperResetting())
+	res, err := runOne(trace.Trace{}.Source(), predictor.NewBimodal(8), core.PaperResetting())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +69,7 @@ func TestRunEmptySource(t *testing.T) {
 // eofOnly always returns io.EOF: Run treats it as a clean end, not error.
 func TestRunCleanEOF(t *testing.T) {
 	src := trace.FuncSource(func() (trace.Record, error) { return trace.Record{}, io.EOF })
-	if _, err := Run(src, predictor.AlwaysTaken{}, core.NewStaticProfile()); err != nil {
+	if _, err := runOne(src, predictor.AlwaysTaken{}, core.NewStaticProfile()); err != nil {
 		t.Fatalf("EOF treated as error: %v", err)
 	}
 }

@@ -3,11 +3,13 @@ package sim
 import (
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"branchconf/internal/artifact"
 	"branchconf/internal/core"
 	"branchconf/internal/predictor"
+	"branchconf/internal/trace"
 	"branchconf/internal/workload"
 )
 
@@ -76,14 +78,11 @@ type pcConfidence struct{}
 
 func (pcConfidence) Confidence(pc uint64) uint8 { return uint8(pc >> 2 & 3) }
 
-// TestHorizonsInterleavedFallback: a predictor that cannot annotate the
-// state a mechanism reads sends the unit to the interleaved engine, which
-// must still answer every horizon.
-func TestHorizonsInterleavedFallback(t *testing.T) {
-	defer AnnotatedTier.Reset()
-	defer workload.TraceTier.Reset()
-	AnnotatedTier.Reset()
-	horizons := []uint64{500, 2000}
+// TestStateCoupledFailsClosed: a mechanism that reads predictor state,
+// paired with a predictor that cannot annotate it, fails the monolithic,
+// streamed and horizon engines with an error naming both, before any trace
+// is read.
+func TestStateCoupledFailsClosed(t *testing.T) {
 	newPred := func() predictor.Predictor {
 		p, err := predictor.Build("gselect-64K")
 		if err != nil {
@@ -95,13 +94,35 @@ func TestHorizonsInterleavedFallback(t *testing.T) {
 		func() core.Mechanism { return core.PaperResetting() },
 		func() core.Mechanism { return core.NewNativeConfidence(pcConfidence{}) },
 	}
-	cfg := SuiteConfig{Specs: workload.Suite()[:1], SegmentBranches: 333}
-	want := horizonOracle(t, cfg, horizons, "gselect-64K", newPred, mechs)
-	got, err := RunSuiteHorizons(cfg, horizons, "gselect-64K", newPred, mechs)
-	if err != nil {
-		t.Fatal(err)
+	cfg := SuiteConfig{
+		Branches: 2000,
+		Specs:    workload.Suite()[:2],
+		Source: func(spec workload.Spec, _ uint64) (trace.Source, error) {
+			t.Errorf("%s: trace read before the pairing was checked", spec.Name)
+			return spec.FiniteSource(2000)
+		},
+		Buffer: func(spec workload.Spec, n uint64) (*trace.ReplayBuffer, error) {
+			t.Errorf("%s: trace read before the pairing was checked", spec.Name)
+			return workload.Materialize(spec, n)
+		},
 	}
-	checkHorizons(t, "interleaved fallback", got, want)
+	streamed := cfg
+	streamed.SegmentBranches = 333
+	engines := map[string]func() error{
+		"monolithic": func() error { _, err := RunSuiteAnnotated(cfg, "gselect-64K", newPred, mechs); return err },
+		"streamed":   func() error { _, err := RunSuiteAnnotated(streamed, "gselect-64K", newPred, mechs); return err },
+		"horizons": func() error {
+			_, err := RunSuiteHorizons(streamed, []uint64{500, 2000}, "gselect-64K", newPred, mechs)
+			return err
+		},
+	}
+	mech, pred := mechs[1]().Name(), newPred().Name()
+	for name, run := range engines {
+		err := run()
+		if err == nil || !strings.Contains(err.Error(), mech) || !strings.Contains(err.Error(), pred) {
+			t.Errorf("%s: error %v does not name mechanism %s and predictor %s", name, err, mech, pred)
+		}
+	}
 }
 
 // TestHorizonsWarmAndCorrupted: against an artifact store, a cold sweep

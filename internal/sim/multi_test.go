@@ -40,85 +40,3 @@ func TestRunMultiPartitions(t *testing.T) {
 		t.Fatalf("top level holds only %d/%d branches", top.Branches, res.Branches())
 	}
 }
-
-func TestRunWithFlushIntervalValidation(t *testing.T) {
-	spec, _ := workload.ByName("groff")
-	src, _ := spec.FiniteSource(100)
-	_, err := RunWithFlush(src, predictor.Gshare4K(), core.PaperOneLevel(core.IndexPCxorBHR), 0, FlushPolicy{})
-	if err == nil {
-		t.Fatal("zero interval accepted")
-	}
-}
-
-func TestRunWithFlushNilPolicyMatchesPlainRun(t *testing.T) {
-	spec, _ := workload.ByName("groff")
-	mk := func() *core.OneLevel { return core.PaperOneLevel(core.IndexPCxorBHR) }
-	src1, _ := spec.FiniteSource(50000)
-	plain, err := Run(src1, predictor.Gshare64K(), mk())
-	if err != nil {
-		t.Fatal(err)
-	}
-	src2, _ := spec.FiniteSource(50000)
-	flushed, err := RunWithFlush(src2, predictor.Gshare64K(), mk(), 1000, FlushPolicy{Name: "noop"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if plain.Misses != flushed.Misses || len(plain.Buckets) != len(flushed.Buckets) {
-		t.Fatalf("no-op flush diverged: %d vs %d misses", plain.Misses, flushed.Misses)
-	}
-}
-
-func TestRunWithFlushZerosHurts(t *testing.T) {
-	// Flushing the CT to zeros at every switch must degrade confidence
-	// quality versus keeping it (the §5.4/Fig. 11 effect at switch time).
-	spec, _ := workload.ByName("groff")
-	curve := func(apply func(core.Mechanism), init core.InitPolicy) float64 {
-		src, _ := spec.FiniteSource(150000)
-		mech := core.NewOneLevel(core.OneLevelConfig{Scheme: core.IndexPCxorBHR, Init: init})
-		res, err := RunWithFlush(src, predictor.Gshare64K(), mech, 10000, FlushPolicy{Apply: apply})
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Inline mini-analysis: fraction of misses in buckets covering the
-		// worst 20% of events.
-		return coverageAt20(t, res)
-	}
-	keep := curve(nil, core.InitOnes)
-	zeros := curve(func(m core.Mechanism) { m.Reset() }, core.InitZeros)
-	if zeros >= keep {
-		t.Fatalf("flush-to-zeros (%.1f) not worse than keep (%.1f)", zeros, keep)
-	}
-}
-
-func coverageAt20(t *testing.T, res Result) float64 {
-	t.Helper()
-	type kv struct {
-		rate   float64
-		events uint64
-		misses uint64
-	}
-	var items []kv
-	var totalE, totalM uint64
-	for _, tally := range res.Buckets {
-		items = append(items, kv{tally.Rate(), tally.Events, tally.Misses})
-		totalE += tally.Events
-		totalM += tally.Misses
-	}
-	// Selection sort by rate desc is fine at these sizes.
-	for i := 0; i < len(items); i++ {
-		for j := i + 1; j < len(items); j++ {
-			if items[j].rate > items[i].rate {
-				items[i], items[j] = items[j], items[i]
-			}
-		}
-	}
-	var cumE, cumM uint64
-	for _, it := range items {
-		if float64(cumE+it.events) > 0.2*float64(totalE) {
-			break
-		}
-		cumE += it.events
-		cumM += it.misses
-	}
-	return 100 * float64(cumM) / float64(totalM)
-}

@@ -5,11 +5,8 @@ package sim
 
 import (
 	"fmt"
-	"io"
 
 	"branchconf/internal/analysis"
-	"branchconf/internal/core"
-	"branchconf/internal/predictor"
 	"branchconf/internal/trace"
 	"branchconf/internal/workload"
 )
@@ -31,48 +28,6 @@ func (r Result) MissRate() float64 {
 	}
 	return float64(r.Misses) / float64(r.Branches)
 }
-
-// Run replays src through pred and mech following the paper's per-branch
-// protocol: predict, read the confidence bucket, resolve, then train both
-// structures with the outcome.
-func Run(src trace.Source, pred predictor.Predictor, mech core.Mechanism) (Result, error) {
-	var res Result
-	acc := newBucketAccum()
-	for {
-		r, err := src.Next()
-		if err == io.EOF {
-			res.Buckets = acc.stats()
-			return res, nil
-		}
-		if err != nil {
-			res.Buckets = acc.stats()
-			return res, fmt.Errorf("sim: reading trace: %w", err)
-		}
-		incorrect := pred.Predict(r) != r.Taken
-		acc.add(mech.Bucket(r), incorrect)
-		pred.Update(r)
-		mech.Update(r, incorrect)
-		res.Branches++
-		if incorrect {
-			res.Misses++
-		}
-	}
-}
-
-// PredictOnly measures a predictor's misprediction rate without any
-// confidence mechanism.
-func PredictOnly(src trace.Source, pred predictor.Predictor) (Result, error) {
-	return Run(src, pred, nullMech{})
-}
-
-// nullMech is a single-bucket mechanism used when only predictor accuracy
-// is of interest.
-type nullMech struct{}
-
-func (nullMech) Bucket(trace.Record) uint64 { return 0 }
-func (nullMech) Update(trace.Record, bool)  {}
-func (nullMech) Reset()                     {}
-func (nullMech) Name() string               { return "null" }
 
 // EstimatorResult is the joint confusion summary of an online estimator
 // run: how branches and mispredictions split across the high- and
@@ -125,35 +80,6 @@ func (e EstimatorResult) Confusion() analysis.Confusion {
 		HighIncorrect: e.HighMisses(),
 		LowCorrect:    e.Low - e.LowMisses,
 		LowIncorrect:  e.LowMisses,
-	}
-}
-
-// RunEstimator replays src through pred and the online estimator,
-// recording the confusion summary.
-func RunEstimator(src trace.Source, pred predictor.Predictor, est *core.Estimator) (EstimatorResult, error) {
-	var res EstimatorResult
-	for {
-		r, err := src.Next()
-		if err == io.EOF {
-			return res, nil
-		}
-		if err != nil {
-			return res, fmt.Errorf("sim: reading trace: %w", err)
-		}
-		confident := est.Confident(r)
-		incorrect := pred.Predict(r) != r.Taken
-		pred.Update(r)
-		est.Update(r, incorrect)
-		res.Branches++
-		if !confident {
-			res.Low++
-		}
-		if incorrect {
-			res.Misses++
-			if !confident {
-				res.LowMisses++
-			}
-		}
 	}
 }
 
@@ -254,23 +180,4 @@ func (s SuiteResult) Index(name string) (int, error) {
 		}
 	}
 	return 0, fmt.Errorf("sim: no run for benchmark %q", name)
-}
-
-// RunSuite replays every benchmark through fresh predictor and mechanism
-// instances (tables are rebuilt per benchmark, as in the paper's per-trace
-// simulations) and collects per-benchmark results in suite order.
-//
-// Benchmarks run concurrently: each run owns its source, predictor and
-// mechanism, so parallelism cannot perturb results — the output is
-// byte-identical to a serial sweep, just several times faster on the
-// multi-run experiments. newPred and newMech are invoked from multiple
-// goroutines and must be safe for concurrent calls (pure constructors
-// returning fresh instances are; closures over shared mutable state are
-// not). Per-benchmark failures are aggregated with errors.Join.
-func RunSuite(cfg SuiteConfig, newPred func() predictor.Predictor, newMech func() core.Mechanism) (SuiteResult, error) {
-	res, err := RunSuiteBatch(cfg, newPred, []func() core.Mechanism{newMech})
-	if err != nil {
-		return SuiteResult{}, err
-	}
-	return res[0], nil
 }

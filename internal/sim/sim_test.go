@@ -20,7 +20,7 @@ func smallTrace(n int) trace.Trace {
 
 func TestRunCountsConsistent(t *testing.T) {
 	tr := smallTrace(1000)
-	res, err := Run(tr.Source(), predictor.NewBimodal(10), core.PaperResetting())
+	res, err := runOne(tr.Source(), predictor.NewBimodal(10), core.PaperResetting())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,11 +38,11 @@ func TestRunCountsConsistent(t *testing.T) {
 
 func TestRunDeterministic(t *testing.T) {
 	tr := smallTrace(2000)
-	a, err := Run(tr.Source(), predictor.Gshare4K(), core.PaperOneLevel(core.IndexPCxorBHR))
+	a, err := runOne(tr.Source(), predictor.Gshare4K(), core.PaperOneLevel(core.IndexPCxorBHR))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Run(tr.Source(), predictor.Gshare4K(), core.PaperOneLevel(core.IndexPCxorBHR))
+	b, err := runOne(tr.Source(), predictor.Gshare4K(), core.PaperOneLevel(core.IndexPCxorBHR))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +53,7 @@ func TestRunDeterministic(t *testing.T) {
 
 func TestPredictOnly(t *testing.T) {
 	tr := smallTrace(500)
-	res, err := PredictOnly(tr.Source(), predictor.AlwaysTaken{})
+	res, err := runOne(tr.Source(), predictor.AlwaysTaken{}, nullMech{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +157,7 @@ func TestEstimatorConfusionQuadrant(t *testing.T) {
 
 func TestRunSuite(t *testing.T) {
 	cfg := SuiteConfig{Branches: 20000}
-	sr, err := RunSuite(cfg,
+	sr, err := runSuiteOne(cfg,
 		func() predictor.Predictor { return predictor.Gshare4K() },
 		func() core.Mechanism { return core.SmallResetting(12) })
 	if err != nil {
@@ -191,7 +191,7 @@ func TestRunSuiteSubset(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := SuiteConfig{Branches: 5000, Specs: []workload.Spec{spec}}
-	sr, err := RunSuite(cfg,
+	sr, err := runSuiteOne(cfg,
 		func() predictor.Predictor { return predictor.NewBimodal(10) },
 		func() core.Mechanism { return core.NewStaticProfile() })
 	if err != nil {
@@ -206,7 +206,7 @@ func TestRunSuiteParallelMatchesSerial(t *testing.T) {
 	// RunSuite executes benchmarks concurrently; results must be identical
 	// to independent serial runs (each run is self-contained).
 	cfg := SuiteConfig{Branches: 15000}
-	sr, err := RunSuite(cfg,
+	sr, err := runSuiteOne(cfg,
 		func() predictor.Predictor { return predictor.Gshare4K() },
 		func() core.Mechanism { return core.SmallResetting(12) })
 	if err != nil {
@@ -217,7 +217,7 @@ func TestRunSuiteParallelMatchesSerial(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		serial, err := Run(src, predictor.Gshare4K(), core.SmallResetting(12))
+		serial, err := runOne(src, predictor.Gshare4K(), core.SmallResetting(12))
 		if err != nil {
 			t.Fatal(err)
 		}

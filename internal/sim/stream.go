@@ -148,6 +148,9 @@ func RunSuiteHorizons(cfg SuiteConfig, horizons []uint64, predKey string, newPre
 			return nil, fmt.Errorf("sim: horizons %v are not positive and ascending", horizons)
 		}
 	}
+	if err := checkAnnotatable(newPred, buildMechs(newMechs)); err != nil {
+		return nil, err
+	}
 	cfg.Branches = horizons[len(horizons)-1]
 	if cfg.SegmentBranches == 0 {
 		cfg.SegmentBranches = cfg.Branches
@@ -235,41 +238,9 @@ func streamUnitOnce(cfg SuiteConfig, spec workload.Spec, horizons []uint64, pred
 	segSize := cfg.SegmentBranches
 	grid := segGrid(segSize, horizons)
 
-	mechs := make([]core.Mechanism, len(newMechs))
-	for j := range newMechs {
-		mechs[j] = newMechs[j]()
-	}
+	mechs := buildMechs(newMechs)
 	pred := newPred()
 	_, wantState := pred.(predictor.StateAnnotator)
-	needsState := false
-	for _, m := range mechs {
-		if _, sc := m.(core.StateCoupled); sc {
-			needsState = true
-			break
-		}
-	}
-	if needsState && !wantState {
-		// The predictor cannot annotate the state a mechanism reads; the
-		// whole unit falls back to the interleaved single-pass engine, which
-		// streams record-by-record and is bounded-memory by construction,
-		// one pass per horizon.
-		out := make([][]Result, len(horizons))
-		for h, n := range horizons {
-			hcfg := cfg
-			hcfg.Branches = n
-			if h > 0 {
-				for j := range newMechs {
-					mechs[j] = newMechs[j]()
-				}
-			}
-			rs, err := runInterleavedUnit(hcfg, spec, newPred, mechs)
-			if err != nil {
-				return nil, err
-			}
-			out[h] = rs
-		}
-		return out, nil
-	}
 
 	// Partition mechanisms: resumable factorable geometries tally per
 	// segment through a shared lane walk; everything else (StateCoupled,
@@ -523,8 +494,9 @@ func streamProduce(cfg SuiteConfig, spec workload.Spec, predKey string, pred pre
 			return
 		}
 		heapwatch.Sample("stream-materialize")
+		store := artifact.Default() != nil
 		var ann *AnnotatedStream
-		if !forceLive {
+		if !forceLive && store {
 			ann = annSegFromDisk(spec, budget, predKey, grid, idx, buf.Len(), wantState)
 		}
 		if ann != nil {
@@ -550,12 +522,14 @@ func streamProduce(cfg SuiteConfig, spec workload.Spec, predKey string, pred pre
 				ann = annotateBufferInto(buf, pred, spare)
 			})
 			heapwatch.Sample("stream-annotate")
-			artifact.Save(artifact.KindAnnotatedStream, annSegKey(spec, budget, predKey, grid, idx), func() []byte { return marshalAnnotatedStream(ann) })
+			if store {
+				artifact.Save(artifact.KindAnnotatedStream, annSegKey(spec, budget, predKey, grid, idx), func() []byte { return marshalAnnotatedStream(ann) })
+			}
 			streamSegLive.Add(1)
 		}
 		cum += ann.misses
 		pos += uint64(buf.Len())
-		if predValid && canCkpt && pos < budget {
+		if store && predValid && canCkpt && pos < budget {
 			artifact.Save(artifact.KindCheckpoint, predCkptKey(spec, budget, predKey, grid, pos), func() []byte {
 				return MarshalCheckpoint(Checkpoint{Branch: pos, Misses: cum, State: ckpred.MarshalState()})
 			})
@@ -579,7 +553,7 @@ func streamProduce(cfg SuiteConfig, spec workload.Spec, predKey string, pred pre
 // against checkpoints and folded into the one written at the exit boundary.
 func consumeSegGeom(g *geomLane, spec workload.Spec, predKey string, budget uint64, grid string, flat *trace.FlatView, msg segMsg, cumStart uint64, forceLive bool) error {
 	segN := flat.Len()
-	if !forceLive {
+	if !forceLive && artifact.Default() != nil {
 		if bs := bucketSegFromDisk(spec, budget, predKey, g.geom, grid, msg.idx, msg.ann); bs != nil {
 			g.merger.Merge(bs.Stats())
 			g.st = nil // the walk state did not observe this segment
@@ -611,9 +585,31 @@ func consumeSegGeom(g *geomLane, spec workload.Spec, predKey string, budget uint
 	// built only when the artifact tier needs it for the segment payload.
 	// Folding the running histogram into the merger at unit exit instead of
 	// per segment changes nothing: tallies are exact integer sums, so the
-	// merge is commutative with the warm segments' merges.
+	// merge is commutative with the warm segments' merges. A segment with
+	// fewer branches than the geometry has buckets folds branch by branch
+	// from its lane, so its cost follows its length, not the table's.
+	store := artifact.Default() != nil
 	var stats analysis.BucketStats
-	if g.width <= fusedTallyLimit {
+	switch {
+	case g.width > fusedTallyLimit:
+		g.fm.FillBucketLaneResume(g.st, flat.Records(), msg.ann.MissWords(), lane, nil)
+		stats = tallyLane(lane, msg.ann.MissWords(), segN)
+		g.merger.Merge(stats)
+	case segN < 1<<g.width:
+		g.fm.FillBucketLaneResume(g.st, flat.Records(), msg.ann.MissWords(), lane, nil)
+		if g.counts == nil {
+			g.counts = make([]uint64, 2<<g.width)
+		}
+		miss := msg.ann.MissWords()
+		for i := 0; i < segN; i++ {
+			b := 2 * lane.At(i)
+			g.counts[b]++
+			g.counts[b+1] += miss[i>>6] >> (uint(i) & 63) & 1
+		}
+		if store {
+			stats = tallyLane(lane, miss, segN)
+		}
+	default:
 		counts := countsPool.Get().([]uint32)
 		used := counts[:2<<g.width]
 		clear(used)
@@ -624,25 +620,23 @@ func consumeSegGeom(g *geomLane, spec workload.Spec, predKey string, budget uint
 		for i, c := range used {
 			g.counts[i] += uint64(c)
 		}
-		if artifact.Default() != nil {
+		if store {
 			stats = countsToStats(used)
 		}
 		countsPool.Put(counts)
-	} else {
-		g.fm.FillBucketLaneResume(g.st, flat.Records(), msg.ann.MissWords(), lane, nil)
-		stats = tallyLane(lane, msg.ann.MissWords(), segN)
-		g.merger.Merge(stats)
 	}
 	end := msg.start + uint64(segN)
 	g.stAt = end
-	artifact.Save(artifact.KindBucketStream, bucketSegKey(spec, budget, predKey, g.geom, grid, msg.idx), func() []byte {
-		bs := &BucketStream{lane: lane, n: segN, misses: msg.ann.misses, stats: stats}
-		return marshalBucketStream(bs)
-	})
-	if end < budget {
-		artifact.Save(artifact.KindCheckpoint, geomCkptKey(spec, budget, predKey, g.geom, grid, end), func() []byte {
-			return MarshalCheckpoint(Checkpoint{Branch: end, Misses: cumStart + msg.ann.misses, State: g.st.MarshalState()})
+	if store {
+		artifact.Save(artifact.KindBucketStream, bucketSegKey(spec, budget, predKey, g.geom, grid, msg.idx), func() []byte {
+			bs := &BucketStream{lane: lane, n: segN, misses: msg.ann.misses, stats: stats}
+			return marshalBucketStream(bs)
 		})
+		if end < budget {
+			artifact.Save(artifact.KindCheckpoint, geomCkptKey(spec, budget, predKey, g.geom, grid, end), func() []byte {
+				return MarshalCheckpoint(Checkpoint{Branch: end, Misses: cumStart + msg.ann.misses, State: g.st.MarshalState()})
+			})
+		}
 	}
 	streamSegLive.Add(1)
 	return nil
